@@ -543,7 +543,7 @@ class SweepRecord:
     max_error: float
     g_max: tuple
     value: float
-    cpu_seconds: float
+    cpu_seconds: float  # process CPU time since the optimizer started
 
 
 @dataclass
@@ -577,7 +577,7 @@ def cross_optimize(objective, d: int, g0, config: CrossConfig) -> CrossResult:
 
     obj = _as_adapter(objective)
     rng = np.random.default_rng(config.seed)
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     history: list[SweepRecord] = []
 
     def result(termination, interp):
@@ -630,7 +630,7 @@ def cross_optimize(objective, d: int, g0, config: CrossConfig) -> CrossResult:
         history.append(SweepRecord(sweep=sweeps_done, n_evaluations=obj.n_evaluations,
                                    max_error=report.max_error, g_max=g_best,
                                    value=value,
-                                   cpu_seconds=time.perf_counter() - t0))
+                                   cpu_seconds=time.process_time() - t0))
         if report.budget_exhausted or obj.n_evaluations >= config.n_max:
             return result("budget", interp)
         if not report.bond_errors:

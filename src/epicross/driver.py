@@ -86,8 +86,8 @@ def score_init(data: Trajectory, threshold: float = SCORE_THRESHOLD) -> Adjacenc
 
 
 def brute_force_mle(data: Trajectory, params: EpidemicParams,
-                    d_limit: int = 20, cache: EvalCache | None = None,
-                    dense_limit: int = 4096) -> tuple[AdjacencyVector, float]:
+                    d_limit: int = 20,
+                    cache: EvalCache | None = None) -> tuple[AdjacencyVector, float]:
     """Exhaustive maximum-likelihood network over all 2^d candidates.
 
     Refuses d > d_limit pair bits (the default 20 caps the sweep at about
@@ -103,9 +103,7 @@ def brute_force_mle(data: Trajectory, params: EpidemicParams,
     cache = cache if cache is not None else EvalCache()
     for code in range(1 << d):
         g = AdjacencyVector(tuple((code >> i) & 1 for i in range(d)))
-        cache.get_or_compute(
-            g.bitstring,
-            lambda g=g: log_likelihood(g, data, params, dense_limit=dense_limit))
+        cache.get_or_compute(g.bitstring, lambda g=g: log_likelihood(g, data, params))
     return cache_argmax(cache)
 
 
@@ -157,8 +155,7 @@ def _resolve_init(init, data: Trajectory) -> AdjacencyVector:
 
 def run_inference(data: Trajectory, params: EpidemicParams, tau: float,
                   config: CrossConfig, truth: AdjacencyVector | None = None,
-                  init="score", cache: EvalCache | None = None,
-                  dense_limit: int = 4096) -> RunResult:
+                  init="score", cache: EvalCache | None = None) -> RunResult:
     """Infer the network behind one trajectory by tempered cross maximization.
 
     The log-likelihood is shifted by its value at the initial network, so
@@ -170,15 +167,12 @@ def run_inference(data: Trajectory, params: EpidemicParams, tau: float,
     if g0.n_nodes != data.n_nodes:
         raise ValueError("initial network size does not match data")
     cache = cache if cache is not None else EvalCache()
-    ll0 = cache.get_or_compute(
-        g0.bitstring,
-        lambda: log_likelihood(g0, data, params, dense_limit=dense_limit))
+    ll0 = cache.get_or_compute(g0.bitstring, lambda: log_likelihood(g0, data, params))
     if ll0 == -math.inf:
         raise ValueError(
             "initial network has zero likelihood; start from a different one")
     objective = TemperedObjective(data, params,
-                                  TemperConfig(tau=tau, log_shift=ll0),
-                                  cache=cache, dense_limit=dense_limit)
+                                  TemperConfig(tau=tau, log_shift=ll0), cache=cache)
     res = cross_optimize(objective, g0.n_pairs, g0.bits, config)
     g_best = AdjacencyVector(res.g_max)
     history = []

@@ -5,6 +5,11 @@ d = N(N-1)/2 listing the upper triangle of the adjacency matrix column by
 column: (g_12, g_13, g_23, g_14, g_24, g_34, ...).  Epidemic states live on
 {0,1}^N and are enumerated by the linear index sum_n x_n 2^(n-1), so node 1
 sits in the least significant bit.
+
+Transition probabilities come from one routine, transition_columns: the
+uniformized columns of exp(Q dt) for chosen source states, with a checked
+relative error bound on the entries the caller names.  The dense
+transition_matrix is a reference oracle for small systems.
 """
 
 from __future__ import annotations
@@ -235,27 +240,26 @@ class TransitionMatrix:
     probs: np.ndarray
 
 
-def transition_matrix(rate: RateMatrix, dt: float,
-                      dense_limit: int = 4096,
-                      allow_uniformization: bool = False) -> TransitionMatrix:
-    """Matrix exponential exp(Q dt) with validation of stochasticity.
+MAX_DENSE_DIM = 4096  # dense oracle guard: 12 nodes, a 128 MiB matrix
+RTOL = 1e-12          # relative accuracy of the entries transition_columns names
+MAX_TERMS = 2000      # series terms per substep before giving up on RTOL
 
-    Uses a dense scaling-and-squaring exponential up to `dense_limit`
-    states.  Beyond that the full matrix is only formed on request via
-    uniformization (memory grows as dim^2); otherwise a CapacityError
-    points the caller at transition_columns.
+
+def transition_matrix(rate: RateMatrix, dt: float) -> TransitionMatrix:
+    """Dense matrix exponential exp(Q dt), validated column-stochastic.
+
+    The reference oracle for small systems (scaling-and-squaring Pade);
+    refuses more than MAX_DENSE_DIM states with a CapacityError.  The
+    likelihood uses transition_columns instead.
     """
     dt = float(dt)
     if not math.isfinite(dt) or dt <= 0:
         raise ValueError(f"dt must be finite and positive, got {dt}")
-    if rate.dim <= dense_limit:
-        p = expm(rate.dense() * dt)
-    elif allow_uniformization:
-        p = transition_columns(rate, dt, np.arange(rate.dim))
-    else:
+    if rate.dim > MAX_DENSE_DIM:
         raise CapacityError(
-            f"dim {rate.dim} exceeds dense limit {dense_limit}; "
-            "use transition_columns or pass allow_uniformization=True")
+            f"dim {rate.dim} exceeds the dense limit {MAX_DENSE_DIM}; "
+            "use transition_columns")
+    p = expm(rate.dense() * dt)
     col_sums = p.sum(axis=0)
     if np.max(np.abs(col_sums - 1.0)) > 1e-10:
         raise ArithmeticError("transition matrix columns do not sum to 1")
@@ -265,13 +269,21 @@ def transition_matrix(rate: RateMatrix, dt: float,
 
 
 def transition_columns(rate: RateMatrix, dt: float, cols,
-                       tail: float = 1e-12) -> np.ndarray:
-    """Selected columns of exp(Q dt) by uniformization.
+                       entries=None) -> np.ndarray:
+    """Selected columns of exp(Q dt) by uniformization, with a checked bound.
 
-    The jump chain P = I + Q/lam with lam the largest exit rate is applied
-    to indicator vectors and summed with Poisson(lam dt) weights until the
-    neglected tail mass drops below `tail`.  Large lam dt is split into
-    substeps so the Poisson mean stays moderate.
+    The jump chain P = I + Q/lam, lam the largest exit rate, is applied to
+    indicator vectors and summed with Poisson(lam dt) weights.  All terms
+    are nonnegative, so the neglected Poisson mass, bounded from the next
+    weight by w_{j+1} / (1 - mu/(j+2)), bounds the error of every entry.
+    `entries`, index arrays (rows, positions into `cols`), names the
+    entries the caller needs; the series stops once the neglected mass is
+    at most RTOL times the smallest of them (RTOL absolute without
+    `entries`).  A named entry still exactly zero after 2N terms (N nodes)
+    is structural, as every state is at most 2N flips away, and stays zero.
+    Large lam dt is split into substeps of mean <= 200; all but the last
+    run to RTOL times the smallest normal double.  Missing the bound within
+    MAX_TERMS terms of a substep raises ArithmeticError.
     """
     dt = float(dt)
     if not math.isfinite(dt) or dt < 0:
@@ -285,24 +297,46 @@ def transition_columns(rate: RateMatrix, dt: float, cols,
     if lam == 0.0 or dt == 0.0:
         return v
 
-    n_sub = max(1, math.ceil(lam * dt / 200.0))
+    n_sub = max(1, math.ceil(lam * dt / 200.0))  # exp(-mu) far from underflow
     mu = lam * dt / n_sub
-    jump = (sparse.identity(rate.dim, format="csc") + rate.q / lam).tocsr()
-    j_cap = int(mu + 40.0 * math.sqrt(mu + 1.0) + 100.0)
-    for _ in range(n_sub):
+    jump = rate.q / lam
+    jump.setdiag(jump.diagonal() + 1.0)  # P = I + Q/lam, entrywise >= 0
+    min_terms = 2 * (rate.dim.bit_length() - 1)
+    inner_target = RTOL * np.finfo(float).tiny
+    lost = 0.0  # neglected mass of the finished substeps
+    terms = 0   # jumps applied so far, over all substeps
+    for s in range(n_sub):
+        last = s == n_sub - 1
         w = math.exp(-mu)
         term = v
         acc = w * v
-        cum = w
-        j = 0
-        while 1.0 - cum > tail and j < j_cap:
-            j += 1
+        for j in range(MAX_TERMS + 1):
+            # bound on sum_{i > j} w_i; the ratios w_{i+1}/w_i fall below
+            # mu/(j+2) < 1 once j + 2 > mu
+            w_next = w * mu / (j + 1)
+            tail = w_next / (1.0 - mu / (j + 2)) if j + 2 > mu else math.inf
+            if not last:
+                target = inner_target
+            else:
+                target = RTOL - lost
+                if entries is not None and tail <= target:
+                    p = acc[entries]
+                    if terms + j >= min_terms:
+                        p = p[p > 0.0]
+                    target = RTOL * p.min(initial=1.0) - lost
+            if 0.0 < target and tail <= target:
+                break
+            if j == MAX_TERMS:
+                raise ArithmeticError(
+                    f"uniformization missed relative accuracy {RTOL:g} within "
+                    f"{MAX_TERMS} terms (Poisson mean {mu:.6g})")
             term = jump @ term
-            w *= mu / j
+            w = w_next
             acc += w * term
-            cum += w
+        lost += tail
+        terms += j
         v = acc
-    return np.clip(v, 0.0, 1.0)
+    return v
 
 
 def step_probability(m: TransitionMatrix, x_prev: NetworkState,

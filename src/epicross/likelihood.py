@@ -3,8 +3,10 @@
 The data are snapshots x_0, ..., x_K of the epidemic on a time grid.  By
 the Markov property the likelihood of a network g factorizes over steps,
 L(g) = prod_k Prob(x_{k-1} -> x_k | g), each factor an entry of
-exp(Q(g) dt_k).  Everything downstream works with log L; the optimizer sees
-the tempered value exp((log L - shift) / tau).
+exp(Q(g) dt_k).  Only those observed entries are computed, by uniformization
+of the observed source states, each to a checked relative accuracy.
+Everything downstream works with log L; the optimizer sees the tempered
+value exp((log L - shift) / tau).
 """
 
 from __future__ import annotations
@@ -21,19 +23,20 @@ from .epidemic import (
     Trajectory,
     build_generator,
     transition_columns,
-    transition_matrix,
 )
 
 
-def log_likelihood(g: AdjacencyVector, data: Trajectory, params: EpidemicParams,
-                   dense_limit: int = 4096) -> float:
+def log_likelihood(g: AdjacencyVector, data: Trajectory,
+                   params: EpidemicParams) -> float:
     """Exact log-likelihood of `g` for the observed trajectory.
 
-    One matrix exponential is computed per distinct step length and reused
-    across all steps sharing it; on a uniform grid that is a single solve
-    regardless of K.  Above `dense_limit` states only the needed columns
-    are formed by uniformization.  Returns -inf when some observed step
-    has zero probability.
+    Steps are grouped by length (equal to 12 significant digits, so grid
+    times differing in ulps share a group) and counted per distinct
+    (prev, next) state pair, c_ab.  Per group, only the columns of
+    exp(Q dt) of the distinct source states are propagated, by
+    uniformization certified to relative accuracy RTOL on the observed
+    entries p_ab, and log L = sum c_ab log p_ab.  Returns -inf when some
+    observed step is structurally impossible.
     """
     if g.n_nodes != data.n_nodes:
         raise ValueError(f"network has {g.n_nodes} nodes, data has {data.n_nodes}")
@@ -41,24 +44,26 @@ def log_likelihood(g: AdjacencyVector, data: Trajectory, params: EpidemicParams,
         return 0.0
     rate = build_generator(g, params)
     idx = data.state_indices()
-    prev, nxt = idx[:-1], idx[1:]
     dts = np.diff(data.times)
-    # grid times built as k*dt differ by ulps; group steps by dt rounded to
-    # 12 significant digits so a uniform grid costs one exponential
-    keys = np.array([float(f"{v:.12g}") for v in dts])
+    # grid times built as k*dt differ by ulps, so steps are grouped by their
+    # length rounded to 12 significant digits; each distinct rounded length
+    # (not each step) is then rendered once to take its exact decimal value
+    scale = 10.0 ** (np.floor(np.log10(dts)) - 11)
+    uniq, group = np.unique(np.round(dts / scale) * scale, return_inverse=True)
+    lengths, merge = np.unique([float(f"{v:.12g}") for v in uniq], return_inverse=True)
+    pair = (merge[group] * rate.dim + idx[:-1]) * rate.dim + idx[1:]
+    pair, counts = np.unique(pair, return_counts=True)
+    key, nxt = np.divmod(pair, rate.dim)
+    key, prev = np.divmod(key, rate.dim)
     total = 0.0
-    for key in np.unique(keys):
-        sel = keys == key
-        if rate.dim <= dense_limit:
-            m = transition_matrix(rate, key, dense_limit=dense_limit)
-            p = m.probs[nxt[sel], prev[sel]]
-        else:
-            uniq, inverse = np.unique(prev[sel], return_inverse=True)
-            cols = transition_columns(rate, key, uniq)
-            p = cols[nxt[sel], inverse]
+    for k, dt in enumerate(lengths):
+        sel = key == k
+        sources, pos = np.unique(prev[sel], return_inverse=True)
+        entries = (nxt[sel], pos)
+        p = transition_columns(rate, dt, sources, entries)[entries]
         if np.any(p <= 0.0):
             return -math.inf
-        total += float(np.log(p).sum())
+        total += float(counts[sel] @ np.log(p))
     return total
 
 
@@ -117,15 +122,17 @@ class EvalCache:
 
     `n_evaluations` counts solver calls (misses), `n_hits` counts lookups
     answered from the store.  Storing logs rather than tempered values lets
-    one cache serve several temperatures.  Thread-safe; under concurrent
-    misses of the same key the first stored value wins and duplicate solves
-    are still counted as evaluations.
+    one cache serve several temperatures.  Thread-safe: a miss on a key
+    whose solve is already in flight in another thread waits for that solve
+    and counts as a hit, so each key is computed once.  If the solve raises,
+    one of the waiters takes over.
     """
 
     def __init__(self):
         self._store: dict[str, float] = {}
         self._best: tuple[float, str] | None = None
         self._lock = threading.Lock()
+        self._pending: dict[str, threading.Event] = {}
         self.n_evaluations = 0
         self.n_hits = 0
 
@@ -144,15 +151,26 @@ class EvalCache:
                     self._best = cand
 
     def get_or_compute(self, key: str, compute) -> float:
-        with self._lock:
-            if key in self._store:
-                self.n_hits += 1
+        while True:
+            with self._lock:
+                if key in self._store:
+                    self.n_hits += 1
+                    return self._store[key]
+                done = self._pending.get(key)
+                if done is None:
+                    done = self._pending[key] = threading.Event()
+                    break
+            done.wait()
+        try:
+            value = float(compute())
+            with self._lock:
+                self.n_evaluations += 1
+                self._record(key, value)
                 return self._store[key]
-        value = float(compute())
-        with self._lock:
-            self.n_evaluations += 1
-            self._record(key, value)
-            return self._store[key]
+        finally:
+            with self._lock:
+                del self._pending[key]
+            done.set()
 
     def lookup(self, key: str) -> float | None:
         return self._store.get(key)
@@ -200,13 +218,11 @@ class EvalCache:
 
 
 def evaluate_cached(g: AdjacencyVector, data: Trajectory, params: EpidemicParams,
-                    config: TemperConfig, cache: EvalCache,
-                    dense_limit: int = 4096) -> float:
+                    config: TemperConfig, cache: EvalCache) -> float:
     """Tempered objective at `g`, computing the log-likelihood only on a
     cache miss."""
     key = g.bitstring
-    ll = cache.get_or_compute(
-        key, lambda: log_likelihood(g, data, params, dense_limit=dense_limit))
+    ll = cache.get_or_compute(key, lambda: log_likelihood(g, data, params))
     return tempered_objective(ll, config, g=key)
 
 
@@ -224,18 +240,15 @@ class TemperedObjective:
     """
 
     def __init__(self, data: Trajectory, params: EpidemicParams,
-                 config: TemperConfig, cache: EvalCache | None = None,
-                 dense_limit: int = 4096):
+                 config: TemperConfig, cache: EvalCache | None = None):
         self.data = data
         self.params = params
         self.config = config
         self.cache = cache if cache is not None else EvalCache()
-        self.dense_limit = dense_limit
 
     def __call__(self, bits) -> float:
         g = AdjacencyVector(tuple(bits))
-        return evaluate_cached(g, self.data, self.params, self.config,
-                               self.cache, dense_limit=self.dense_limit)
+        return evaluate_cached(g, self.data, self.params, self.config, self.cache)
 
     @property
     def n_evaluations(self) -> int:
@@ -259,5 +272,4 @@ class TemperedObjective:
 
     def retemper(self, config: TemperConfig) -> "TemperedObjective":
         """Same data and cache under a different temperature or shift."""
-        return TemperedObjective(self.data, self.params, config,
-                                 cache=self.cache, dense_limit=self.dense_limit)
+        return TemperedObjective(self.data, self.params, config, cache=self.cache)

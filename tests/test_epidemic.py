@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from epicross import epidemic
 from epicross.epidemic import (
     AdjacencyVector,
     CapacityError,
@@ -216,11 +217,10 @@ class TestTransitionMatrix:
                 transition_matrix(q, bad)
 
     def test_capacity_error(self):
-        q = build_generator(chain_network(4), EpidemicParams(1.0, 0.5, 0.01))
+        # the dense oracle refuses more than 12 nodes (4096 states)
+        q = build_generator(chain_network(13), EpidemicParams(1.0, 0.5, 0.01))
         with pytest.raises(CapacityError):
-            transition_matrix(q, 0.1, dense_limit=8)
-        m = transition_matrix(q, 0.1, dense_limit=8, allow_uniformization=True)
-        np.testing.assert_allclose(m.probs.sum(axis=0), 1.0, atol=1e-10)
+            transition_matrix(q, 0.1)
 
     def test_uniformization_matches_dense(self):
         rng = np.random.default_rng(13)
@@ -243,6 +243,30 @@ class TestTransitionMatrix:
         dense = expm(q.dense() * dt)
         approx = transition_columns(q, dt, np.arange(q.dim))
         np.testing.assert_allclose(approx, dense, atol=1e-9)
+
+    def test_uniformization_relative_bound_on_named_entries(self):
+        # a tiny entry (about 1e-32) named by the caller is accurate to RTOL
+        # relative, far below what an absolute 1e-12 truncation resolves
+        p = EpidemicParams(beta=1.0, gamma=0.5, eps=0.01)
+        q = build_generator(AdjacencyVector.empty(8), p)
+        rate = p.eps + p.gamma
+        exact = (p.eps / rate * -math.expm1(-rate * 0.01)) ** 8
+        cols = transition_columns(q, 0.01, [0], (np.array([q.dim - 1]), np.array([0])))
+        assert cols[q.dim - 1, 0] == pytest.approx(exact, rel=1e-11)
+
+    def test_uniformization_raises_when_bound_unmet(self, monkeypatch):
+        q = build_generator(chain_network(3), EpidemicParams(1.0, 0.5, 0.01))
+        monkeypatch.setattr(epidemic, "MAX_TERMS", 3)
+        with pytest.raises(ArithmeticError):
+            transition_columns(q, 1.0, [0])
+
+    def test_uniformization_structural_zero(self):
+        # eps = 0 and no edges: state 0 never leaves, after any number of terms
+        q = build_generator(AdjacencyVector.empty(3), EpidemicParams(1.0, 0.5, 0.0))
+        cols = transition_columns(q, 0.5, [0, 7], (np.array([1, 0]), np.array([0, 1])))
+        assert cols[1, 0] == 0.0
+        assert cols[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert cols[0, 1] > 0.0
 
     def test_step_probability_lookup(self):
         p = EpidemicParams(beta=1.0, gamma=0.5, eps=0.01)

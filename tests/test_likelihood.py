@@ -1,5 +1,6 @@
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -96,12 +97,43 @@ class TestLogLikelihood:
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_dense_and_column_paths_agree(self):
-        g = chain_network(4)
-        params = EpidemicParams(1.0, 0.5, 0.01)
-        traj = ssa_simulate(g, params, 0.1, 20.0, NetworkState((1, 0, 0, 0)), seed=5)
-        dense = log_likelihood(g, traj, params)
-        columns = log_likelihood(g, traj, params, dense_limit=1)
-        assert columns == pytest.approx(dense, abs=1e-8)
+        # the certified column path against the dense expm oracle, on random
+        # networks and trajectories with mixed step lengths
+        rng = np.random.default_rng(17)
+        for _ in range(12):
+            n = int(rng.integers(2, 9))
+            g = AdjacencyVector(tuple(int(b) for b in rng.integers(0, 2, size=n * (n - 1) // 2)))
+            params = EpidemicParams(beta=float(rng.uniform(0.1, 2.0)),
+                                    gamma=float(rng.uniform(0.1, 2.0)),
+                                    eps=float(10.0 ** rng.uniform(-3, 0)))
+            fine = ssa_simulate(g, params, 0.05, 10.0,
+                                NetworkState((1,) + (0,) * (n - 1)),
+                                seed=int(rng.integers(1e6)))
+            keep = np.cumsum(rng.integers(1, 4, size=fine.n_steps))
+            keep = np.concatenate([[0], keep[keep <= fine.n_steps]])
+            traj = Trajectory(fine.times[keep], fine.states[keep])
+            q = build_generator(g, params)
+            idx = traj.state_indices()
+            dense = {}
+            expected = 0.0
+            for k, dt in enumerate(np.diff(traj.times)):
+                if round(dt, 12) not in dense:
+                    dense[round(dt, 12)] = transition_matrix(q, dt).probs
+                expected += math.log(dense[round(dt, 12)][idx[k + 1], idx[k]])
+            assert log_likelihood(g, traj, params) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [6, 8, 9, 10])
+    @pytest.mark.parametrize("dt", [0.1, 0.05, 0.01])
+    def test_all_nodes_flip_closed_form(self, n, dt):
+        # empty network, every node infected in one step: independent nodes,
+        # each flipping with p1 = eps/(eps+gamma) (1 - exp(-(eps+gamma) dt)),
+        # an entry far below the absolute accuracy of a plain truncation
+        params = EpidemicParams(beta=1.0, gamma=0.5, eps=0.01)
+        data = Trajectory(np.array([0.0, dt]), np.array([[0] * n, [1] * n]))
+        rate = params.eps + params.gamma
+        p1 = params.eps / rate * -math.expm1(-rate * dt)
+        ll = log_likelihood(AdjacencyVector.empty(n), data, params)
+        assert ll == pytest.approx(n * math.log(p1), abs=1e-9)
 
     def test_never_positive(self):
         rng = np.random.default_rng(31)
@@ -243,6 +275,51 @@ class TestEvalCache:
         # every request was either a hit or an evaluation
         assert cache.n_evaluations + cache.n_hits == 400
         assert cache.n_evaluations >= 8
+
+    def test_concurrent_misses_solve_once(self):
+        # a slow solve is in flight while other threads miss the same key:
+        # they must wait for it instead of solving again
+        cache = EvalCache()
+        keys = [format(i, "02b") for i in range(3)]
+        solves = {key: 0 for key in keys}
+        count_lock = threading.Lock()
+        n_threads, rounds = 4, 5
+        barrier = threading.Barrier(n_threads)
+        results = []
+
+        def compute(key):
+            with count_lock:
+                solves[key] += 1
+            time.sleep(0.001)
+            return -float(int(key, 2))
+
+        def worker(offset):
+            barrier.wait(timeout=10)
+            for _ in range(rounds):
+                for key in keys[offset % 3:] + keys[:offset % 3]:
+                    results.append((key, cache.get_or_compute(key, lambda k=key: compute(k))))
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == n_threads * rounds * len(keys)
+        assert all(value == -float(int(key, 2)) for key, value in results)
+        assert solves == {key: 1 for key in keys}
+        assert cache.n_evaluations == 3
+        assert cache.n_hits == len(results) - 3
+
+    def test_failed_solve_is_retried_by_next_caller(self):
+        def fail():
+            raise RuntimeError("solver failed")
+
+        cache = EvalCache()
+        with pytest.raises(RuntimeError):
+            cache.get_or_compute("01", fail)
+        assert cache.get_or_compute("01", lambda: -1.0) == -1.0
+        assert cache.n_evaluations == 1 and cache.n_hits == 0
 
 
 class TestTemperedObjective:
