@@ -21,27 +21,21 @@ from .epidemic import (
     write_network,
     write_trajectory,
 )
-from .likelihood import (
-    EvalCache,
-    TemperConfig,
-    TemperOverflowError,
-    TemperedObjective,
-    cache_argmax,
-    evaluate_cached,
-    log_likelihood,
-    tempered_objective,
-)
+from .likelihood import log_likelihood
 from .cross import (
     CrossConfig,
     CrossInterpolant,
     CrossResult,
-    FunctionCache,
+    Memo,
+    TemperConfig,
+    TemperOverflowError,
     TensorTrain,
     cross_optimize,
     load_tt_cores,
     matrix_cross_step,
     save_tt_cores,
     sweep,
+    tempered_objective,
     tensor_argmax,
 )
 from .driver import (
@@ -49,6 +43,7 @@ from .driver import (
     ExperimentConfig,
     RunResult,
     brute_force_mle,
+    likelihood_memo,
     run_experiment,
     run_inference,
     score_init,

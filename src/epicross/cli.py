@@ -14,9 +14,15 @@ from .epidemic import (
     ssa_simulate,
     write_trajectory,
 )
-from .likelihood import EvalCache, log_likelihood
+from .likelihood import log_likelihood
 from .cross import CrossConfig, save_tt_cores
-from .driver import ExperimentConfig, brute_force_mle, run_experiment, run_inference
+from .driver import (
+    ExperimentConfig,
+    brute_force_mle,
+    likelihood_memo,
+    run_experiment,
+    run_inference,
+)
 
 
 def _add_params(parser: argparse.ArgumentParser) -> None:
@@ -63,9 +69,9 @@ def _cmd_loglik(args) -> int:
 
 def _cmd_brute(args) -> int:
     data = read_trajectory(args.data)
-    cache = EvalCache()
-    g_best, ll = brute_force_mle(data, _params(args), d_limit=args.dlimit,
-                                 cache=cache)
+    params = _params(args)
+    cache = likelihood_memo(data, params)
+    g_best, ll = brute_force_mle(data, params, d_limit=args.dlimit, cache=cache)
     payload = {
         "g_max": g_best.bitstring,
         "loglik": ll,
@@ -100,8 +106,9 @@ def _cmd_infer(args) -> int:
     config = CrossConfig(r_max=args.rank_max, n_max=args.budget, delta=args.delta,
                          rook_max_iters=args.rook_iters, seed=args.seed,
                          max_sweeps=args.sweeps)
-    cache = EvalCache()
-    result = run_inference(data, _params(args), args.tau, config, truth=truth,
+    params = _params(args)
+    cache = likelihood_memo(data, params)
+    result = run_inference(data, params, args.tau, config, truth=truth,
                            init=init, cache=cache)
     result.save(args.out)
     if args.cache_out:

@@ -12,12 +12,15 @@ pivot at a time; the pivot is the largest residual entry found by a rook
 search on the 2r x 2r subtensor spanned by neighbouring sets.  Because
 residuals vanish on already-interpolated rows and columns, the largest
 residual both improves the approximation and steers evaluations toward the
-maximal entry, which is tracked as a side effect.
+maximal entry, which is tracked as a side effect.  Crossing fibers ask for
+the same entry many times, so entries come through a Memo that solves each
+index once; log-likelihood values are tempered on top of it.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -65,51 +68,148 @@ class CrossConfig:
             raise ValueError(f"pivot_rtol must be finite and >= 0, got {self.pivot_rtol}")
 
 
-class FunctionCache:
-    """Memoizing adapter giving a bare callable the counting/argmax surface
-    the optimizer needs (n_evaluations, n_hits, argmax, max_value).
+class Memo:
+    """At-most-once memo of a function on indices, with the counters and
+    argmax the optimizer reads.
 
-    Ties in argmax go to the lexicographically smallest index tuple.
-    Not thread-safe; likelihood objectives bring their own locked cache.
+    `memo(bits)` returns fn(bits) and solves it at most once per index,
+    also across threads: a miss on an index whose solve is in flight in
+    another thread waits for that solve and counts as a hit, and if the
+    solve raises, the next caller solves again.  Indices are keys as given,
+    normally the 0/1 tuples the interpolant holds.  `n_evaluations` counts
+    solves and `n_hits` lookups answered from the store; values read by
+    `load` count as neither.  NaN is rejected.
     """
 
     def __init__(self, fn):
         self.fn = fn
-        self.values: dict[tuple, float] = {}
         self.n_evaluations = 0
         self.n_hits = 0
-        self._best: tuple | None = None
+        self._values: dict = {}
+        self._pending: dict = {}
+        self._lock = threading.Lock()
+        self._best = None
         self._best_value = -math.inf
 
-    def __call__(self, bits) -> float:
-        key = tuple(int(b) for b in bits)
-        if key in self.values:
-            self.n_hits += 1
-            return self.values[key]
-        value = float(self.fn(key))
-        if math.isnan(value):
-            raise ValueError(f"objective returned NaN at {key}")
-        self.values[key] = value
-        self.n_evaluations += 1
-        if value > self._best_value or (value == self._best_value
-                                        and (self._best is None or key < self._best)):
-            self._best, self._best_value = key, value
-        return value
+    def __len__(self) -> int:
+        return len(self._values)
 
-    def argmax(self) -> tuple[tuple, float]:
+    def __call__(self, bits) -> float:
+        while True:
+            with self._lock:
+                value = self._values.get(bits)
+                if value is not None:
+                    self.n_hits += 1
+                    return value
+                done = self._pending.get(bits)
+                if done is None:
+                    done = self._pending[bits] = threading.Event()
+                    break
+            done.wait()
+        try:
+            value = float(self.fn(bits))
+            if math.isnan(value):
+                raise ValueError(f"objective returned NaN at {bits}")
+            with self._lock:
+                self.n_evaluations += 1
+                self._store(bits, value)
+            return value
+        finally:
+            with self._lock:
+                del self._pending[bits]
+            done.set()
+
+    def _store(self, key, value: float) -> None:
+        self._values[key] = value
+        if value > self._best_value or (value == self._best_value
+                                        and self._best is not None and key < self._best):
+            self._best, self._best_value = key, value
+
+    def lookup(self, bits) -> float | None:
+        return self._values.get(bits)
+
+    def argmax(self) -> tuple:
+        """(index, value) of the largest stored value; ties go to the
+        lexicographically smallest index, and -inf never counts."""
         if self._best is None:
-            raise ValueError("no evaluations recorded")
+            raise ValueError("memo holds no value above -inf")
         return self._best, self._best_value
 
-    @property
-    def max_value(self) -> float:
-        return self._best_value if self._best is not None else 0.0
+    def save(self, path) -> None:
+        """Dump as CSV `g,loglik`: the index as a 01-string, the value at
+        full double precision, indices sorted."""
+        with open(path, "w") as fh:
+            fh.write("g,loglik\n")
+            for key in sorted(self._values):
+                fh.write(f"{''.join(map(str, key))},{self._values[key]:.17g}\n")
+
+    @classmethod
+    def load(cls, path) -> "Memo":
+        """Rebuild from a dump, keyed by 0/1 tuples; the result answers the
+        indices the file holds and has no function to solve others."""
+        memo = cls(None)
+        with open(path) as fh:
+            header = fh.readline().strip()
+            if header != "g,loglik":
+                raise ValueError(f"bad cache header: {header!r}")
+            for raw in fh:
+                line = raw.strip()
+                if not line:
+                    continue
+                key, _, value = line.partition(",")
+                if not key or set(key) - {"0", "1"}:
+                    raise ValueError(f"not a 01-string: {key!r}")
+                memo._store(tuple(int(c) for c in key), float(value))
+        return memo
 
 
-def _as_adapter(objective):
-    if all(hasattr(objective, a) for a in ("n_evaluations", "argmax", "max_value")):
-        return objective
-    return FunctionCache(objective)
+@dataclass(frozen=True)
+class TemperConfig:
+    """Temperature tau and log-domain shift of the optimization target
+    exp((log L - log_shift) / tau)."""
+
+    tau: float
+    log_shift: float = 0.0
+
+    def __post_init__(self):
+        tau = float(self.tau)
+        shift = float(self.log_shift)
+        if not math.isfinite(tau) or tau <= 0:
+            raise ValueError(f"tau must be finite and positive, got {tau}")
+        if not math.isfinite(shift):
+            raise ValueError(f"log_shift must be finite, got {shift}")
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "log_shift", shift)
+
+
+class TemperOverflowError(FloatingPointError):
+    """Tempered likelihood left double range; carries the offending network."""
+
+    def __init__(self, g, loglik: float, config: TemperConfig):
+        self.g = g
+        self.loglik = loglik
+        self.config = config
+        where = f" at g={g}" if g else ""
+        super().__init__(
+            f"exp(({loglik:.6g} - {config.log_shift:.6g}) / {config.tau:g}) "
+            f"overflows{where}; raise tau or the shift")
+
+
+def tempered_objective(loglik: float, config: TemperConfig, g=None) -> float:
+    """Map a log-likelihood to the positive optimization target.
+
+    Zero-probability networks (loglik = -inf) map to 0.  Overflow aborts
+    with TemperOverflowError rather than returning inf.
+    """
+    if loglik == -math.inf:
+        return 0.0
+    if not math.isfinite(loglik):
+        raise ValueError(f"log-likelihood must be finite or -inf, got {loglik}")
+    z = (loglik - config.log_shift) / config.tau
+    try:
+        return math.exp(z)
+    except OverflowError:
+        raise TemperOverflowError(g, loglik, config) from None
 
 
 class SubtensorView:
@@ -228,11 +328,14 @@ class CrossInterpolant:
     {0,1} x right[k+1].  fiber[k] holds f on left[k-1] x {0,1} x right[k];
     the cross matrix A_k = f(left[k] x right[k]) is kept LU-factored.
     Initialized at rank one from a pivot index g0, which must have a
-    nonzero objective value.
+    nonzero objective value.  `objective` is called once per entry lookup;
+    `evaluations()` returns the solves spent so far, which the sweeps hold
+    to the budget (default: objective.n_evaluations, the Memo counter).
     """
 
-    def __init__(self, objective, d: int, g0):
+    def __init__(self, objective, d: int, g0, evaluations=None):
         self.objective = objective
+        self.evaluations = evaluations or (lambda: objective.n_evaluations)
         self.d = int(d)
         g0 = tuple(int(b) for b in g0)
         if len(g0) != self.d or any(b not in (0, 1) for b in g0):
@@ -320,8 +423,7 @@ class CrossInterpolant:
             suffix = (j // r_next,) + self.right[k + 1][j % r_next]
             return self.objective(prefix + suffix)
 
-        view = SubtensorView(approx.shape, entry, approx,
-                             lambda: self.objective.n_evaluations)
+        view = SubtensorView(approx.shape, entry, approx, self.evaluations)
         row_set = {self.left_pos[k - 1][q[:-1]] * 2 + q[-1] for q in self.left[k]}
         col_set = {q[0] * r_next + self.right_pos[k + 1][q[1:]] for q in self.right[k]}
         return view, row_set, col_set
@@ -505,10 +607,10 @@ def sweep(interp: CrossInterpolant, direction: str, rng, config: CrossConfig) ->
     errors: dict[int, float] = {}
     added = 0
     skipped = 0
-    ev0 = interp.objective.n_evaluations
+    ev0 = interp.evaluations()
     exhausted = False
     for k in bonds:
-        if interp.objective.n_evaluations >= config.n_max:
+        if interp.evaluations() >= config.n_max:
             exhausted = True
             break
         if interp.rank(k) >= config.r_max:
@@ -532,7 +634,7 @@ def sweep(interp: CrossInterpolant, direction: str, rng, config: CrossConfig) ->
     max_error = max(errors.values(), default=0.0)
     return SweepReport(direction=direction, bond_errors=errors, max_error=max_error,
                        pivots_added=added, bonds_skipped=skipped,
-                       evals_used=interp.objective.n_evaluations - ev0,
+                       evals_used=interp.evaluations() - ev0,
                        budget_exhausted=exhausted)
 
 
@@ -561,62 +663,85 @@ class CrossResult:
     tensor: TensorTrain | None
 
 
-def cross_optimize(objective, d: int, g0, config: CrossConfig) -> CrossResult:
-    """Maximize a nonnegative function on {0,1}^d by greedy cross sweeps.
+def cross_optimize(objective, d: int, g0, config: CrossConfig,
+                   tau: float | None = None) -> CrossResult:
+    """Maximize a function on {0,1}^d by greedy cross sweeps.
 
-    `objective` is either a bare callable on index tuples (it will be
-    wrapped in a FunctionCache) or an adapter exposing n_evaluations,
-    argmax() and max_value, such as a TemperedObjective.  Sweeps alternate
-    direction and stop on the first of: residual below delta * best value
-    ("converged"), every bond capped or saturated ("rank_saturated"), a
-    sweep admitting no pivot ("stalled"), the evaluation budget ("budget"),
-    the sweep cap ("max_sweeps"), or a tempered-likelihood overflow
-    ("overflow", best-so-far still reported).
+    `objective` is called once per entry lookup.  A bare callable on index
+    tuples is wrapped in a Memo; an object with the Memo counters and
+    argmax (a Memo, or anything forwarding to one) is used as it is, so one
+    memo can serve several runs.  The n_max budget, the result's
+    n_evaluations and the history count this run's own solves.  With tau
+    None the values are maximized as they are; otherwise they are
+    log-likelihoods and the target is
+    tempered_objective(objective(bits), TemperConfig(tau, objective(g0))),
+    which is exactly 1 at g0.  Sweeps alternate direction and stop on the
+    first of: residual below delta * best value ("converged"), every bond
+    capped or saturated ("rank_saturated"), a sweep admitting no pivot
+    ("stalled"), the evaluation budget ("budget"), the sweep cap
+    ("max_sweeps"), or a tempered-likelihood overflow ("overflow",
+    best-so-far still reported).
     """
-    from .likelihood import TemperOverflowError
-
-    obj = _as_adapter(objective)
+    memo = objective if hasattr(objective, "n_evaluations") else Memo(objective)
+    g0 = tuple(int(b) for b in g0)
+    ev0 = memo.n_evaluations
     rng = np.random.default_rng(config.seed)
     t0 = time.process_time()
     history: list[SweepRecord] = []
+
+    def spent() -> int:
+        return memo.n_evaluations - ev0
+
+    if tau is None:
+        temper, value = None, memo
+    else:
+        ll0 = memo(g0)
+        if ll0 == -math.inf:
+            raise ValueError(
+                "initial network has zero likelihood; start from a different one")
+        temper = TemperConfig(tau=tau, log_shift=ll0)
+
+        def value(bits):
+            return tempered_objective(memo(bits), temper, g=bits)
+
+    def best():
+        g, v = memo.argmax()
+        return g, (v if temper is None else tempered_objective(v, temper, g=g))
 
     def result(termination, interp):
         tensor = interp.tensor_train() if interp is not None else None
         ranks = interp.ranks() if interp is not None else []
         if (tensor is not None and termination != "overflow"
                 and tensor.d <= ARGMAX_ENUM_LIMIT
-                and obj.n_evaluations < config.n_max):
+                and spent() < config.n_max):
             # the sweeps only ever sample crosses, so an exactly interpolated
             # objective can stall with its maximizer never evaluated; when the
             # index space is enumerable, claim the interpolant's argmax too
             try:
-                obj(tensor_argmax(tensor))
+                value(tensor_argmax(tensor))
             except TemperOverflowError as err:
-                return CrossResult(g_max=tuple(int(c) for c in err.g),
-                                   value=math.inf,
-                                   n_evaluations=obj.n_evaluations,
+                return CrossResult(g_max=err.g, value=math.inf,
+                                   n_evaluations=spent(),
                                    termination="overflow", history=history,
                                    ranks=ranks, tensor=tensor)
         try:
-            g_best, value = obj.argmax()
-        except ValueError:
-            g_best, value = tuple(int(b) for b in g0), math.nan
+            g_best, v = best()
         except TemperOverflowError as err:
             # the best network itself overflows the tempered scale; still
             # report it, with an inf stand-in for the unrepresentable value
-            g_best, value = tuple(int(c) for c in err.g), math.inf
-        return CrossResult(g_max=g_best, value=value, n_evaluations=obj.n_evaluations,
+            g_best, v = err.g, math.inf
+        return CrossResult(g_max=g_best, value=v, n_evaluations=spent(),
                            termination=termination, history=history, ranks=ranks,
                            tensor=tensor)
 
     try:
-        interp = CrossInterpolant(obj, d, g0)
+        interp = CrossInterpolant(value, d, g0, spent)
     except TemperOverflowError:
         return result("overflow", None)
 
     sweeps_done = 0
     while True:
-        if obj.n_evaluations >= config.n_max:
+        if spent() >= config.n_max:
             return result("budget", interp)
         if config.max_sweeps is not None and sweeps_done >= config.max_sweeps:
             return result("max_sweeps", interp)
@@ -626,16 +751,16 @@ def cross_optimize(objective, d: int, g0, config: CrossConfig) -> CrossResult:
         except TemperOverflowError:
             return result("overflow", interp)
         sweeps_done += 1
-        g_best, value = obj.argmax()
-        history.append(SweepRecord(sweep=sweeps_done, n_evaluations=obj.n_evaluations,
+        g_best, v = best()
+        history.append(SweepRecord(sweep=sweeps_done, n_evaluations=spent(),
                                    max_error=report.max_error, g_max=g_best,
-                                   value=value,
+                                   value=v,
                                    cpu_seconds=time.process_time() - t0))
-        if report.budget_exhausted or obj.n_evaluations >= config.n_max:
+        if report.budget_exhausted or spent() >= config.n_max:
             return result("budget", interp)
         if not report.bond_errors:
             return result("rank_saturated", interp)
-        if report.max_error <= config.delta * value:
+        if report.max_error <= config.delta * v:
             return result("converged", interp)
         if all(interp.rank(k) >= config.r_max or interp.bond_saturated(k)
                for k in range(1, d)):

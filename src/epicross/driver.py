@@ -1,8 +1,8 @@
 """Inference entry points: initial guess, brute force, cross runs, experiments.
 
 A run ties the pieces together: score a trajectory to get an initial
-network, shift the log-likelihood so the tempered objective starts at
-exactly one, then hand the objective to the cross optimizer.  The
+network, then hand a memo of the log-likelihood to the cross optimizer,
+which tempers it so the target starts at exactly one.  The
 experiment harness repeats that over simulated datasets and temperatures
 and aggregates error statistics.
 """
@@ -10,7 +10,6 @@ and aggregates error statistics.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -28,14 +27,8 @@ from .epidemic import (
     ssa_simulate,
     write_trajectory,
 )
-from .likelihood import (
-    EvalCache,
-    TemperConfig,
-    TemperedObjective,
-    cache_argmax,
-    log_likelihood,
-)
-from .cross import CrossConfig, TensorTrain, cross_optimize
+from .likelihood import log_likelihood
+from .cross import CrossConfig, Memo, TensorTrain, cross_optimize
 
 SCORE_THRESHOLD = 0.2
 
@@ -85,14 +78,19 @@ def score_init(data: Trajectory, threshold: float = SCORE_THRESHOLD) -> Adjacenc
     return pack_adjacency(adj)
 
 
+def likelihood_memo(data: Trajectory, params: EpidemicParams) -> Memo:
+    """Memo of log_likelihood on the pair bits of candidate networks."""
+    return Memo(lambda bits: log_likelihood(AdjacencyVector(bits), data, params))
+
+
 def brute_force_mle(data: Trajectory, params: EpidemicParams,
                     d_limit: int = 20,
-                    cache: EvalCache | None = None) -> tuple[AdjacencyVector, float]:
+                    cache: Memo | None = None) -> tuple[AdjacencyVector, float]:
     """Exhaustive maximum-likelihood network over all 2^d candidates.
 
     Refuses d > d_limit pair bits (the default 20 caps the sweep at about
     a million likelihood solves); ties go to the lexicographically
-    smallest bitstring.  Pass a cache to keep the full likelihood table.
+    smallest bitstring.  Pass a likelihood_memo to keep the full table.
     """
     n = data.n_nodes
     d = n * (n - 1) // 2
@@ -100,11 +98,11 @@ def brute_force_mle(data: Trajectory, params: EpidemicParams,
         raise CapacityError(
             f"{d} pair bits exceed the exhaustive limit {d_limit}; "
             "use run_inference instead")
-    cache = cache if cache is not None else EvalCache()
+    memo = cache if cache is not None else likelihood_memo(data, params)
     for code in range(1 << d):
-        g = AdjacencyVector(tuple((code >> i) & 1 for i in range(d)))
-        cache.get_or_compute(g.bitstring, lambda g=g: log_likelihood(g, data, params))
-    return cache_argmax(cache)
+        memo(tuple((code >> i) & 1 for i in range(d)))
+    bits, ll = memo.argmax()
+    return AdjacencyVector(bits), ll
 
 
 @dataclass
@@ -155,25 +153,21 @@ def _resolve_init(init, data: Trajectory) -> AdjacencyVector:
 
 def run_inference(data: Trajectory, params: EpidemicParams, tau: float,
                   config: CrossConfig, truth: AdjacencyVector | None = None,
-                  init="score", cache: EvalCache | None = None) -> RunResult:
+                  init="score", cache: Memo | None = None) -> RunResult:
     """Infer the network behind one trajectory by tempered cross maximization.
 
-    The log-likelihood is shifted by its value at the initial network, so
-    the optimizer starts from an objective value of exactly one.  Overflow
+    The optimizer shifts the log-likelihood by its value at the initial
+    network, so it starts from an objective value of exactly one.  Overflow
     of the tempered objective ends the run with termination "overflow" and
-    the best network seen so far.
+    the best network seen so far.  A shared `cache` (a likelihood_memo)
+    serves lookups across runs; n_eval and cache_hits count this run's own.
     """
     g0 = _resolve_init(init, data)
     if g0.n_nodes != data.n_nodes:
         raise ValueError("initial network size does not match data")
-    cache = cache if cache is not None else EvalCache()
-    ll0 = cache.get_or_compute(g0.bitstring, lambda: log_likelihood(g0, data, params))
-    if ll0 == -math.inf:
-        raise ValueError(
-            "initial network has zero likelihood; start from a different one")
-    objective = TemperedObjective(data, params,
-                                  TemperConfig(tau=tau, log_shift=ll0), cache=cache)
-    res = cross_optimize(objective, g0.n_pairs, g0.bits, config)
+    memo = cache if cache is not None else likelihood_memo(data, params)
+    hits0 = memo.n_hits
+    res = cross_optimize(memo, g0.n_pairs, g0.bits, config, tau)
     g_best = AdjacencyVector(res.g_max)
     history = []
     for rec in res.history:
@@ -184,15 +178,15 @@ def run_inference(data: Trajectory, params: EpidemicParams, tau: float,
             "cpu_seconds": rec.cpu_seconds,
             "max_error": rec.max_error,
             "g_max": g_sweep.bitstring,
-            "loglik": cache.lookup(g_sweep.bitstring),
+            "loglik": memo.lookup(rec.g_max),
             "link_error": (network_error(g_sweep, truth)
                            if truth is not None else None),
         })
     return RunResult(
         g_max=g_best,
-        loglik=cache.lookup(g_best.bitstring),
-        n_eval=cache.n_evaluations,
-        cache_hits=cache.n_hits,
+        loglik=memo.lookup(res.g_max),
+        n_eval=res.n_evaluations,
+        cache_hits=memo.n_hits - hits0,
         termination=res.termination,
         history=history,
         tau=tau,

@@ -16,12 +16,14 @@ import pytest
 from epicross.cross import (
     CrossConfig,
     CrossInterpolant,
-    FunctionCache,
+    Memo,
     SubtensorView,
+    TemperConfig,
     TensorTrain,
     cross_optimize,
     matrix_cross_step,
     sweep,
+    tempered_objective,
 )
 from epicross.epidemic import (
     AdjacencyVector,
@@ -32,7 +34,6 @@ from epicross.epidemic import (
     ssa_simulate,
     transition_matrix,
 )
-from epicross.likelihood import EvalCache, TemperConfig, tempered_objective
 from epicross.driver import OPTIMIZER_SEED_OFFSET, brute_force_mle, run_inference
 
 PARAMS = EpidemicParams(beta=1.0, gamma=0.5, eps=0.01)
@@ -262,7 +263,7 @@ def test_a8_invariance_properties(acceptance_report):
     d = 5
     for t in range(100):
         table = rng.uniform(0.5, 1.5, size=(2,) * d)
-        fc = FunctionCache(lambda bits, table=table: float(table[bits]))
+        fc = Memo(lambda bits, table=table: float(table[bits]))
         interp = CrossInterpolant(fc, d, (0,) * d)
         cfg = CrossConfig(r_max=3, n_max=10_000)
         srng = np.random.default_rng(1000 + t)
@@ -295,7 +296,7 @@ def test_a8_invariance_properties(acceptance_report):
     # the cache computes each key at most once, even under threads
     rng = np.random.default_rng(207)
     for t in range(100):
-        cache = EvalCache()
+        cache = Memo(lambda key: compute(key))
         calls = {}
 
         def compute(key):
@@ -309,7 +310,7 @@ def test_a8_invariance_properties(acceptance_report):
             def worker():
                 barrier.wait()
                 for key in keys:
-                    cache.get_or_compute(key, lambda k=key: compute(k))
+                    cache(key)
 
             threads = [threading.Thread(target=worker) for _ in range(4)]
             for th in threads:
@@ -318,7 +319,7 @@ def test_a8_invariance_properties(acceptance_report):
                 th.join()
         else:
             for key in keys:
-                cache.get_or_compute(key, lambda k=key: compute(k))
+                cache(key)
         if (any(v != 1 for v in calls.values())
                 or cache.n_evaluations != len(set(keys))):
             failures.append(f"at-most-once (trial {t})")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from epicross.cli import main
-from epicross.cross import CrossConfig, load_tt_cores
+from epicross.cross import CrossConfig, Memo, load_tt_cores
 from epicross.epidemic import (
     AdjacencyVector,
     EpidemicParams,
@@ -15,7 +15,7 @@ from epicross.epidemic import (
     write_network,
     write_trajectory,
 )
-from epicross.likelihood import EvalCache, log_likelihood
+from epicross.likelihood import log_likelihood
 from epicross.driver import brute_force_mle, run_inference
 
 PARAMS = ["--beta", "1.0", "--gamma", "0.5", "--eps", "0.01"]
@@ -90,7 +90,7 @@ def test_brute_outputs(tmp_path, capsys):
     assert payload["loglik"] == ll_ref
     assert payload["termination"] == "exhaustive"
     assert payload["n_eval"] == 8
-    loaded = EvalCache.load(cache_out)
+    loaded = Memo.load(cache_out)
     assert len(loaded) == 8
     assert f"g_max={g_ref.bitstring}" in capsys.readouterr().out
 
@@ -122,11 +122,11 @@ def test_infer_matches_library(tmp_path, data4, capsys):
     assert payload["n_eval"] == ref.n_eval
     assert payload["termination"] == ref.termination
     assert payload["link_error"] == ref.link_error
-    loaded = EvalCache.load(cache_out)
-    assert loaded.lookup(payload["g_max"]) == payload["loglik"]
+    bits = tuple(int(c) for c in payload["g_max"])
+    loaded = Memo.load(cache_out)
+    assert loaded.lookup(bits) == payload["loglik"]
     tt = load_tt_cores(cores_out)
     assert tt.d == 6
-    bits = tuple(int(c) for c in payload["g_max"])
     assert np.isfinite(tt.eval(bits))
     assert "termination=" in capsys.readouterr().out
 

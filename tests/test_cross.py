@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ import pytest
 from epicross.cross import (
     CrossConfig,
     CrossInterpolant,
-    FunctionCache,
+    Memo,
     SubtensorView,
     TensorTrain,
     cross_optimize,
@@ -40,7 +43,7 @@ def all_bits(d):
         yield tuple((code >> i) & 1 for i in range(d))
 
 
-class TestFunctionCache:
+class TestMemo:
     def test_memoizes_and_counts(self):
         calls = []
 
@@ -48,29 +51,203 @@ class TestFunctionCache:
             calls.append(bits)
             return sum(bits) + 0.5
 
-        fc = FunctionCache(f)
+        fc = Memo(f)
         assert fc((1, 0)) == 1.5
         assert fc((1, 0)) == 1.5
         assert len(calls) == 1
         assert fc.n_evaluations == 1 and fc.n_hits == 1
 
     def test_argmax_tie_lexicographic(self):
-        fc = FunctionCache(lambda bits: 1.0)
+        fc = Memo(lambda bits: 1.0)
         fc((1, 1))
         fc((0, 1))
         fc((1, 0))
         assert fc.argmax() == ((0, 1), 1.0)
 
     def test_argmax_empty_raises(self):
-        fc = FunctionCache(lambda bits: 1.0)
+        fc = Memo(lambda bits: 1.0)
         with pytest.raises(ValueError):
             fc.argmax()
-        assert fc.max_value == 0.0
 
     def test_nan_rejected(self):
-        fc = FunctionCache(lambda bits: math.nan)
+        fc = Memo(lambda bits: math.nan)
         with pytest.raises(ValueError):
             fc((0,))
+        assert len(fc) == 0 and fc.n_evaluations == 0
+
+    def test_compute_once(self):
+        calls = []
+
+        def compute(bits):
+            calls.append(1)
+            return -1.5
+
+        cache = Memo(compute)
+        assert cache((1, 0)) == -1.5
+        assert cache((1, 0)) == -1.5
+        assert len(calls) == 1
+        assert cache.n_evaluations == 1
+        assert cache.n_hits == 1
+        assert cache.lookup((1, 0)) == -1.5 and len(cache) == 1
+
+    def test_argmax_tie_breaks_lexicographic(self):
+        values = {(1, 1, 0): -2.0, (0, 1, 1): -2.0, (1, 1, 1): -5.0}
+        cache = Memo(values.get)
+        for bits in values:
+            cache(bits)
+        assert cache.argmax() == ((0, 1, 1), -2.0)
+
+    def test_argmax_skips_zero_likelihood(self):
+        cache = Memo({(1,): -math.inf, (0,): -7.0}.get)
+        cache((1,))
+        with pytest.raises(ValueError):
+            cache.argmax()
+        cache((0,))
+        assert cache.argmax() == ((0,), -7.0)
+
+    def test_save_load_roundtrip(self, tmp_path):
+        values = {(1, 0, 1, 0): -1.2345678901234567, (0, 0, 1, 0): -math.inf,
+                  (0, 1, 0, 0): -3.0, (0, 0, 0, 1): 2.5e-300}
+        cache = Memo(values.get)
+        for bits in values:
+            cache(bits)
+        path = tmp_path / "cache.csv"
+        cache.save(path)
+        text = path.read_text()
+        assert text.splitlines() == ["g,loglik", "0001,2.5e-300",
+                                     "0010,-inf", "0100,-3",
+                                     "1010,-1.2345678901234567"]
+        back = Memo.load(path)
+        for bits, value in values.items():
+            assert back.lookup(bits) == value
+        assert back.argmax() == cache.argmax()
+        assert back.n_evaluations == 0 and back.n_hits == 0
+        again = tmp_path / "again.csv"
+        back.save(again)
+        assert again.read_text() == text
+
+    def test_load_rejects_bad_header(self, tmp_path):
+        path = tmp_path / "cache.csv"
+        path.write_text("network,value\n")
+        with pytest.raises(ValueError):
+            Memo.load(path)
+        path.write_text("g,loglik\n01x,-1\n")
+        with pytest.raises(ValueError):
+            Memo.load(path)
+
+    def test_thread_safety_counts(self):
+        cache = Memo(lambda bits: -float(sum(b << i for i, b in enumerate(bits))))
+        keys = [tuple((i % 8 >> k) & 1 for k in range(3)) for i in range(4000)]
+
+        def worker(chunk):
+            for key in chunk:
+                cache(key)
+
+        # more threads than cores and frequent switches, so a lost counter
+        # update or a duplicate solve would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(keys[i::8],))
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(cache) == 8
+        # every request was either a hit or an evaluation
+        assert cache.n_evaluations + cache.n_hits == 4000
+        assert cache.n_evaluations == 8
+
+    def test_concurrent_misses_solve_once(self):
+        # a slow solve is in flight while other threads miss the same key:
+        # they must wait for it instead of solving again
+        keys = [(0, 0), (0, 1), (1, 0)]
+        solves = {key: 0 for key in keys}
+        count_lock = threading.Lock()
+        n_threads, rounds = 4, 5
+        barrier = threading.Barrier(n_threads)
+        results = []
+
+        def compute(key):
+            with count_lock:
+                solves[key] += 1
+            time.sleep(0.001)
+            return -float(keys.index(key))
+
+        cache = Memo(compute)
+
+        def worker(offset):
+            barrier.wait(timeout=10)
+            for _ in range(rounds):
+                for key in keys[offset % 3:] + keys[:offset % 3]:
+                    results.append((key, cache(key)))
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == n_threads * rounds * len(keys)
+        assert all(value == -float(keys.index(key)) for key, value in results)
+        assert solves == {key: 1 for key in keys}
+        assert cache.n_evaluations == 3
+        assert cache.n_hits == len(results) - 3
+
+    def test_failed_solve_is_retried_by_next_caller(self):
+        attempts = []
+
+        def solve(bits):
+            attempts.append(bits)
+            if len(attempts) == 1:
+                raise RuntimeError("solver failed")
+            return -1.0
+
+        cache = Memo(solve)
+        with pytest.raises(RuntimeError):
+            cache((0, 1))
+        assert cache((0, 1)) == -1.0
+        assert cache.n_evaluations == 1 and cache.n_hits == 0
+
+    def test_failed_solve_in_flight_is_taken_over_by_a_waiter(self):
+        started = threading.Event()
+        attempts = []
+
+        def solve(bits):
+            attempts.append(bits)
+            if len(attempts) == 1:
+                started.set()
+                time.sleep(0.05)
+                raise RuntimeError("solver failed")
+            return -2.0
+
+        cache = Memo(solve)
+        outcome = {}
+
+        def first():
+            try:
+                cache((1, 1))
+            except RuntimeError as err:
+                outcome["first"] = err
+
+        def second():
+            started.wait(timeout=10)
+            outcome["second"] = cache((1, 1))
+
+        threads = [threading.Thread(target=first), threading.Thread(target=second)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert isinstance(outcome["first"], RuntimeError)
+        assert outcome["second"] == -2.0
+        assert len(attempts) == 2
+        assert cache.n_evaluations == 1 and cache((1, 1)) == -2.0
 
 
 class TestMatrixCrossStep:
@@ -160,7 +337,7 @@ class TestCrossInterpolant:
     def test_init_exact_at_pivot_and_flips(self):
         rng = np.random.default_rng(31)
         f, table = random_tensor_fn(rng, 4)
-        fc = FunctionCache(f)
+        fc = Memo(f)
         g0 = (0, 1, 1, 0)
         interp = CrossInterpolant(fc, 4, g0)
         assert interp.eval(g0) == pytest.approx(f(g0), rel=1e-12)
@@ -172,14 +349,14 @@ class TestCrossInterpolant:
         assert interp.ranks() == [1] * 5
 
     def test_requires_positive_start(self):
-        fc = FunctionCache(lambda bits: 0.0)
+        fc = Memo(lambda bits: 0.0)
         with pytest.raises(ValueError):
             CrossInterpolant(fc, 3, (0, 0, 0))
 
     def test_eval_uses_no_objective_calls(self):
         rng = np.random.default_rng(33)
         f, _ = random_tensor_fn(rng, 5)
-        fc = FunctionCache(f)
+        fc = Memo(f)
         interp = CrossInterpolant(fc, 5, (0,) * 5)
         cfg = CrossConfig(r_max=3, n_max=10_000)
         sweep(interp, "lr", np.random.default_rng(0), cfg)
@@ -191,7 +368,7 @@ class TestCrossInterpolant:
     def test_exact_on_cross_indices_after_growth(self):
         rng = np.random.default_rng(35)
         f, _ = random_tensor_fn(rng, 5)
-        fc = FunctionCache(f)
+        fc = Memo(f)
         interp = CrossInterpolant(fc, 5, (1, 0, 1, 0, 1))
         cfg = CrossConfig(r_max=4, n_max=10_000)
         rng_opt = np.random.default_rng(7)
@@ -206,7 +383,7 @@ class TestCrossInterpolant:
     def test_nested_sets_after_sweeps(self):
         rng = np.random.default_rng(37)
         f, _ = random_tensor_fn(rng, 6)
-        fc = FunctionCache(f)
+        fc = Memo(f)
         interp = CrossInterpolant(fc, 6, (0,) * 6)
         cfg = CrossConfig(r_max=5, n_max=10_000)
         rng_opt = np.random.default_rng(8)
@@ -222,7 +399,7 @@ class TestCrossInterpolant:
     def test_full_rank_reproduces_tensor(self):
         rng = np.random.default_rng(39)
         f, table = random_tensor_fn(rng, 4)
-        fc = FunctionCache(f)
+        fc = Memo(f)
         interp = CrossInterpolant(fc, 4, (0, 0, 0, 0))
         cfg = CrossConfig(r_max=16, n_max=100_000)
         rng_opt = np.random.default_rng(9)
@@ -236,7 +413,7 @@ class TestCrossInterpolant:
     def test_admit_rejects_used_indices(self):
         rng = np.random.default_rng(41)
         f, _ = random_tensor_fn(rng, 3)
-        fc = FunctionCache(f)
+        fc = Memo(f)
         interp = CrossInterpolant(fc, 3, (0, 0, 0))
         g0_row = 0 * 2 + 0  # prefix (0,) at bond 1 is already used
         with pytest.raises(ValueError):
@@ -323,6 +500,67 @@ class TestCrossOptimize:
         assert results[0].g_max == results[1].g_max == results[2].g_max
         assert (results[0].n_evaluations == results[1].n_evaluations
                 == results[2].n_evaluations)
+
+    def test_each_index_solved_at_most_once(self):
+        # however often crossing fibers ask for an entry, the function
+        # behind the memo is solved once per index, within a run and across
+        # runs sharing one memo, and the counters count exactly those solves
+        rng = np.random.default_rng(75)
+        for trial in range(40):
+            d = int(rng.integers(2, 9))
+            logs = np.log(rng.uniform(0.1, 1.0, size=(2,) * d))
+            calls = {}
+
+            def f(bits, logs=logs, calls=calls):
+                calls[bits] = calls.get(bits, 0) + 1
+                return float(logs[bits])
+
+            g0 = tuple(int(b) for b in rng.integers(0, 2, d))
+            cfg = CrossConfig(r_max=int(rng.integers(1, 6)),
+                              n_max=int(rng.integers(5, 300)), seed=trial,
+                              max_sweeps=int(rng.integers(1, 6)))
+            if trial % 2:
+                res = cross_optimize(lambda bits: math.exp(f(bits)), d, g0, cfg)
+                runs = [res.n_evaluations]
+            else:
+                memo = Memo(f)
+                runs = [cross_optimize(memo, d, g0, cfg, tau=tau).n_evaluations
+                        for tau in (1.0, float(rng.choice([0.5, 10.0])))]
+                assert sum(runs) == memo.n_evaluations
+            assert max(calls.values()) == 1
+            assert sum(calls.values()) == sum(runs)
+
+    def test_tau_tempers_log_values(self):
+        # the tempered run on log values follows the same pivots as the
+        # plain run on exp((log - log at g0) / tau), and counts the same
+        rng = np.random.default_rng(77)
+        logs = np.log(rng.uniform(0.1, 1.0, size=(2,) * 6))
+        g0 = (1, 0, 1, 1, 0, 0)
+        cfg = CrossConfig(r_max=4, n_max=10_000, seed=3, max_sweeps=4)
+        for tau in (0.5, 1.0, 10.0):
+            tempered = cross_optimize(lambda bits: float(logs[bits]), 6, g0, cfg, tau=tau)
+            plain = cross_optimize(
+                lambda bits: math.exp((float(logs[bits]) - float(logs[g0])) / tau),
+                6, g0, cfg)
+            assert tempered.g_max == plain.g_max
+            assert tempered.value == pytest.approx(plain.value, rel=1e-12)
+            assert tempered.n_evaluations == plain.n_evaluations
+            assert tempered.termination == plain.termination
+
+    def test_tempered_overflow_ends_the_run(self):
+        # exp(800) leaves double range: the run stops, still reporting the
+        # offending index as its best
+        logs = {bits: 800.0 * sum(bits) for bits in all_bits(3)}
+        res = cross_optimize(logs.__getitem__, 3, (0, 0, 0),
+                             CrossConfig(r_max=2, n_max=100, seed=0), tau=1.0)
+        assert res.termination == "overflow"
+        assert res.value == math.inf
+        assert sum(res.g_max) == 1
+
+    def test_zero_likelihood_start_raises(self):
+        with pytest.raises(ValueError):
+            cross_optimize(lambda bits: -math.inf, 3, (0, 0, 0),
+                           CrossConfig(r_max=2, n_max=100), tau=1.0)
 
     def test_nonpositive_start_raises(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from epicross.cross import CrossConfig
+from epicross.cross import CrossConfig, Memo
 from epicross.epidemic import (
     AdjacencyVector,
     CapacityError,
@@ -15,11 +15,12 @@ from epicross.epidemic import (
     network_error,
     ssa_simulate,
 )
-from epicross.likelihood import EvalCache, log_likelihood
+from epicross.likelihood import log_likelihood
 from epicross.driver import (
     ExperimentConfig,
     RunResult,
     brute_force_mle,
+    likelihood_memo,
     run_experiment,
     run_inference,
     score_init,
@@ -94,7 +95,7 @@ class TestBruteForce:
 
     def test_cache_populated(self):
         data = chain_data(3, 10.0, seed=6)
-        cache = EvalCache()
+        cache = likelihood_memo(data, PARAMS)
         brute_force_mle(data, PARAMS, cache=cache)
         assert len(cache) == 8
         assert cache.n_evaluations == 8
@@ -135,12 +136,52 @@ class TestRunInference:
 
     def test_counters_come_from_cache(self):
         data = chain_data(4, 30.0, seed=3)
-        cache = EvalCache()
+        cache = likelihood_memo(data, PARAMS)
         cfg = CrossConfig(r_max=3, n_max=1000, seed=8, max_sweeps=2)
         rr = run_inference(data, PARAMS, 1.0, cfg, cache=cache)
         assert rr.n_eval == cache.n_evaluations
         assert rr.cache_hits == cache.n_hits
-        assert rr.loglik == cache.lookup(rr.g_max.bitstring)
+        assert rr.loglik == cache.lookup(rr.g_max.bits)
+
+    def test_shared_cache_counts_each_runs_own_lookups(self):
+        # a second run on a shared memo is charged only its own solves and
+        # hits, so its budget is not eaten by the first run's solves
+        data = chain_data(5, 100.0, seed=3)
+        cfg = CrossConfig(r_max=4, n_max=150, seed=7, max_sweeps=4)
+        fresh = run_inference(data, PARAMS, 10.0, cfg)
+        cache = likelihood_memo(data, PARAMS)
+        first = run_inference(data, PARAMS, 1.0, cfg, cache=cache)
+        assert (first.n_eval, first.cache_hits) == (cache.n_evaluations, cache.n_hits)
+        solves, hits = cache.n_evaluations, cache.n_hits
+        second = run_inference(data, PARAMS, 10.0, cfg, cache=cache)
+        assert second.n_eval == cache.n_evaluations - solves
+        assert second.cache_hits == cache.n_hits - hits
+        assert second.n_eval < fresh.n_eval <= cfg.n_max
+        # the same lookups as the fresh run, split between solves and hits
+        assert second.termination == fresh.termination
+        assert second.n_eval + second.cache_hits == fresh.n_eval + fresh.cache_hits
+        assert len(second.history) == len(fresh.history)
+
+    def test_each_network_solved_at_most_once(self):
+        rng = np.random.default_rng(19)
+        for trial in range(4):
+            n = int(rng.integers(3, 6))
+            data = chain_data(n, 30.0, seed=40 + trial)
+            calls = {}
+
+            def solve(bits, data=data, calls=calls):
+                calls[bits] = calls.get(bits, 0) + 1
+                return log_likelihood(AdjacencyVector(bits), data, PARAMS)
+
+            cache = Memo(solve)
+            cfg = CrossConfig(r_max=int(rng.integers(2, 5)),
+                              n_max=int(rng.integers(20, 400)), seed=trial,
+                              max_sweeps=3)
+            runs = [run_inference(data, PARAMS, tau, cfg, cache=cache)
+                    for tau in (1.0, 10.0)]
+            assert max(calls.values()) == 1
+            assert sum(calls.values()) == cache.n_evaluations
+            assert sum(r.n_eval for r in runs) == cache.n_evaluations
 
     def test_init_variants(self):
         data = chain_data(4, 30.0, seed=4)

@@ -1,6 +1,4 @@
 import math
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -16,16 +14,15 @@ from epicross.epidemic import (
     ssa_simulate,
     transition_matrix,
 )
-from epicross.likelihood import (
-    EvalCache,
+from epicross.cross import (
+    CrossConfig,
     TemperConfig,
     TemperOverflowError,
-    TemperedObjective,
-    cache_argmax,
-    evaluate_cached,
-    log_likelihood,
+    cross_optimize,
     tempered_objective,
 )
+from epicross.driver import brute_force_mle, likelihood_memo
+from epicross.likelihood import log_likelihood
 
 # two-node reference scenario solved independently with a high-order ODE
 # integrator; the value is frozen so regressions are caught even if the
@@ -204,183 +201,68 @@ class TestTempering:
             assert a == pytest.approx(b * math.exp((s2 - s1) / tau), rel=1e-12)
 
 
-class TestEvalCache:
-    def test_compute_once(self):
-        cache = EvalCache()
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return -1.5
-
-        assert cache.get_or_compute("10", compute) == -1.5
-        assert cache.get_or_compute("10", compute) == -1.5
-        assert len(calls) == 1
-        assert cache.n_evaluations == 1
-        assert cache.n_hits == 1
-        assert cache.hit_fraction == 0.5
-        assert "10" in cache and len(cache) == 1
-
-    def test_argmax_tie_breaks_lexicographic(self):
-        cache = EvalCache()
-        cache.get_or_compute("110", lambda: -2.0)
-        cache.get_or_compute("011", lambda: -2.0)
-        cache.get_or_compute("111", lambda: -5.0)
-        key, ll = cache.argmax()
-        assert key == "011"
-        assert ll == -2.0
-        g, ll2 = cache_argmax(cache)
-        assert g.bitstring == "011" and ll2 == -2.0
-
-    def test_argmax_skips_zero_likelihood(self):
-        cache = EvalCache()
-        cache.get_or_compute("1", lambda: -math.inf)
-        with pytest.raises(ValueError):
-            cache.argmax()
-        cache.get_or_compute("0", lambda: -7.0)
-        assert cache.argmax() == ("0", -7.0)
-
-    def test_save_load_roundtrip(self, tmp_path):
-        cache = EvalCache()
-        cache.get_or_compute("101", lambda: -1.2345678901234567)
-        cache.get_or_compute("010", lambda: -math.inf)
-        path = tmp_path / "cache.csv"
-        cache.save(path)
-        assert path.read_text().splitlines()[0] == "g,loglik"
-        back = EvalCache.load(path)
-        assert back.lookup("101") == cache.lookup("101")
-        assert back.lookup("010") == -math.inf
-        assert back.n_evaluations == 0 and back.n_hits == 0
-
-    def test_load_rejects_bad_header(self, tmp_path):
-        path = tmp_path / "cache.csv"
-        path.write_text("network,value\n")
-        with pytest.raises(ValueError):
-            EvalCache.load(path)
-
-    def test_thread_safety_counts(self):
-        cache = EvalCache()
-        keys = [format(i % 8, "03b") for i in range(400)]
-
-        def worker(chunk):
-            for key in chunk:
-                cache.get_or_compute(key, lambda k=key: -float(int(k, 2)))
-
-        threads = [threading.Thread(target=worker, args=(keys[i::4],)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(cache) == 8
-        # every request was either a hit or an evaluation
-        assert cache.n_evaluations + cache.n_hits == 400
-        assert cache.n_evaluations >= 8
-
-    def test_concurrent_misses_solve_once(self):
-        # a slow solve is in flight while other threads miss the same key:
-        # they must wait for it instead of solving again
-        cache = EvalCache()
-        keys = [format(i, "02b") for i in range(3)]
-        solves = {key: 0 for key in keys}
-        count_lock = threading.Lock()
-        n_threads, rounds = 4, 5
-        barrier = threading.Barrier(n_threads)
-        results = []
-
-        def compute(key):
-            with count_lock:
-                solves[key] += 1
-            time.sleep(0.001)
-            return -float(int(key, 2))
-
-        def worker(offset):
-            barrier.wait(timeout=10)
-            for _ in range(rounds):
-                for key in keys[offset % 3:] + keys[:offset % 3]:
-                    results.append((key, cache.get_or_compute(key, lambda k=key: compute(k))))
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-        assert not any(t.is_alive() for t in threads)
-        assert len(results) == n_threads * rounds * len(keys)
-        assert all(value == -float(int(key, 2)) for key, value in results)
-        assert solves == {key: 1 for key in keys}
-        assert cache.n_evaluations == 3
-        assert cache.n_hits == len(results) - 3
-
-    def test_failed_solve_is_retried_by_next_caller(self):
-        def fail():
-            raise RuntimeError("solver failed")
-
-        cache = EvalCache()
-        with pytest.raises(RuntimeError):
-            cache.get_or_compute("01", fail)
-        assert cache.get_or_compute("01", lambda: -1.0) == -1.0
-        assert cache.n_evaluations == 1 and cache.n_hits == 0
-
-
-class TestTemperedObjective:
+class TestLikelihoodMemo:
     def make(self, tau=1.0):
         params = EpidemicParams(1.0, 0.5, 0.05)
         data = ssa_simulate(chain_network(3), params, 0.1, 10.0,
                             NetworkState((1, 0, 0)), seed=11)
         g0 = chain_network(3)
         ll0 = log_likelihood(g0, data, params)
-        obj = TemperedObjective(data, params, TemperConfig(tau=tau, log_shift=ll0))
-        return obj, g0, ll0
+        return likelihood_memo(data, params), TemperConfig(tau=tau, log_shift=ll0), g0, ll0
 
     def test_call_and_counters(self):
-        obj, g0, ll0 = self.make()
-        assert obj(g0.bits) == pytest.approx(1.0)
-        assert obj.n_evaluations == 1
-        obj(g0.bits)
-        assert obj.n_hits == 1
-        obj((0, 0, 0))
-        assert obj.n_evaluations == 2
+        memo, cfg, g0, ll0 = self.make()
+        assert tempered_objective(memo(g0.bits), cfg) == pytest.approx(1.0)
+        assert memo.n_evaluations == 1
+        memo(g0.bits)
+        assert memo.n_hits == 1
+        memo((0, 0, 0))
+        assert memo.n_evaluations == 2
 
     def test_argmax_matches_cache(self):
-        obj, g0, ll0 = self.make()
+        memo, cfg, g0, ll0 = self.make()
+        lls = {}
         for code in range(8):
-            obj(tuple((code >> i) & 1 for i in range(3)))
-        bits, value = obj.argmax()
-        key, ll = obj.cache.argmax()
-        assert "".join(map(str, bits)) == key
-        assert value == pytest.approx(math.exp(ll - ll0))
-        assert obj.max_value == value
+            bits = tuple((code >> i) & 1 for i in range(3))
+            lls[bits] = memo(bits)
+        bits, ll = memo.argmax()
+        assert ll == max(lls.values())
+        assert bits == min(b for b, v in lls.items() if v == ll)
+        assert tempered_objective(ll, cfg) == pytest.approx(math.exp(ll - ll0))
 
-    def test_retemper_shares_cache(self):
-        obj, g0, ll0 = self.make()
-        obj(g0.bits)
-        hot = obj.retemper(TemperConfig(tau=10.0, log_shift=ll0))
-        assert hot(g0.bits) == pytest.approx(1.0)
-        assert hot.n_evaluations == 1  # served from the shared cache
-        assert hot.n_hits == 1
+    def test_shared_memo_serves_a_second_temperature(self):
+        memo, cfg, g0, ll0 = self.make()
+        first = cross_optimize(memo, 3, g0.bits, CrossConfig(r_max=4, seed=0), tau=1.0)
+        solved = memo.n_evaluations
+        assert first.n_evaluations == solved == 8
+        hot = cross_optimize(memo, 3, g0.bits, CrossConfig(r_max=4, seed=0), tau=10.0)
+        assert hot.n_evaluations == 0  # served from the shared memo
+        assert memo.n_evaluations == solved
+        assert hot.g_max == first.g_max
 
-    def test_evaluate_cached_roundtrip(self):
+    def test_tempered_value_from_memo(self):
         params = EpidemicParams(1.0, 0.5, 0.05)
         data = ssa_simulate(chain_network(3), params, 0.1, 5.0,
                             NetworkState((1, 0, 0)), seed=12)
-        cache = EvalCache()
+        cache = likelihood_memo(data, params)
         cfg = TemperConfig(tau=2.0, log_shift=-10.0)
         g = chain_network(3)
-        v1 = evaluate_cached(g, data, params, cfg, cache)
-        v2 = evaluate_cached(g, data, params, cfg, cache)
+        v1 = tempered_objective(cache(g.bits), cfg)
+        v2 = tempered_objective(cache(g.bits), cfg)
         assert v1 == v2
         assert cache.n_evaluations == 1 and cache.n_hits == 1
-        assert v1 == pytest.approx(math.exp((cache.lookup(g.bitstring) + 10.0) / 2.0))
+        assert v1 == pytest.approx(math.exp((cache.lookup(g.bits) + 10.0) / 2.0))
+        assert cache.lookup(g.bits) == log_likelihood(g, data, params)
 
     def test_temperature_preserves_argmax(self):
         params = EpidemicParams(1.0, 0.5, 0.05)
         data = ssa_simulate(chain_network(3), params, 0.1, 10.0,
                             NetworkState((1, 0, 0)), seed=13)
-        ll0 = log_likelihood(chain_network(3), data, params)
         winners = []
         for tau in (1.0, 10.0, 100.0):
-            obj = TemperedObjective(data, params, TemperConfig(tau=tau, log_shift=ll0))
-            for code in range(8):
-                obj(tuple((code >> i) & 1 for i in range(3)))
-            winners.append(obj.argmax()[0])
+            res = cross_optimize(likelihood_memo(data, params), 3,
+                                 chain_network(3).bits,
+                                 CrossConfig(r_max=4, seed=0), tau=tau)
+            winners.append(res.g_max)
         assert winners[0] == winners[1] == winners[2]
+        assert winners[0] == brute_force_mle(data, params)[0].bits
