@@ -24,6 +24,7 @@ from .epidemic import (
     Trajectory,
     chain_network,
     network_error,
+    pack_adjacency,
     ssa_simulate,
     write_trajectory,
 )
@@ -74,7 +75,6 @@ def score_init(data: Trajectory, threshold: float = SCORE_THRESHOLD) -> Adjacenc
         return AdjacencyVector.empty(n)
     adj = (scores >= threshold * s_max).astype(np.int64)
     np.fill_diagonal(adj, 0)
-    from .epidemic import pack_adjacency
     return pack_adjacency(adj)
 
 

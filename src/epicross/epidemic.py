@@ -14,6 +14,7 @@ transition_matrix is a reference oracle for small systems.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -127,12 +128,20 @@ def pack_adjacency(matrix) -> AdjacencyVector:
     return AdjacencyVector(tuple(int(a[m, n_]) for m, n_ in pair_order(n)))
 
 
+@functools.cache
+def _pair_endpoints(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (m, n) endpoint arrays of the pairs in pair_order."""
+    ends = np.array(pair_order(n_nodes), dtype=np.intp).reshape(-1, 2).T.copy()
+    ends.flags.writeable = False
+    return ends[0], ends[1]
+
+
 def unpack_adjacency(g: AdjacencyVector) -> np.ndarray:
     """Expand an AdjacencyVector into a full symmetric 0/1 matrix."""
     n = g.n_nodes
+    m, n_ = _pair_endpoints(n)
     a = np.zeros((n, n), dtype=np.int64)
-    for (m, n_), b in zip(pair_order(n), g.bits):
-        a[m, n_] = a[n_, m] = b
+    a[m, n_] = a[n_, m] = g.bits
     return a
 
 
@@ -190,16 +199,45 @@ class NetworkState:
 @dataclass(frozen=True)
 class RateMatrix:
     """Infinitesimal generator of the epidemic CTMC, column convention:
-    q[y, x] is the rate of jumping from state x to state y."""
+    q[y, x] is the rate of jumping from state x to state y.  `diag` holds
+    the positions of the diagonal entries q[x, x] in q.data, by column."""
 
     dim: int
     q: sparse.csc_array
+    diag: np.ndarray
 
     def dense(self) -> np.ndarray:
         return self.q.toarray()
 
     def exit_rates(self) -> np.ndarray:
-        return -self.q.diagonal()
+        return -self.q.data[self.diag]
+
+
+@functools.cache
+def _generator_pattern(n_nodes: int):
+    """The part of the N-node generator that no network changes.
+
+    Column x of Q holds x and its N single-flip neighbours.  Returns the
+    (2^N, N) state bits, the CSC `indices` and `indptr` of that pattern
+    (rows sorted within each column), the data positions of the diagonal
+    entries, and the gather that orders a (2^N, N+1) array of
+    [flip rates | diagonal] into the data vector.  All arrays are
+    read-only, as every generator of N nodes shares them.
+    """
+    n = n_nodes
+    dim = 1 << n
+    states = np.arange(dim, dtype=np.int64)
+    bits = (states[:, None] >> np.arange(n)) & 1                  # (dim, n)
+    rows = np.concatenate([states[:, None] ^ (np.int64(1) << np.arange(n)),
+                           states[:, None]], axis=1)              # (dim, n+1)
+    order = np.argsort(rows, axis=1)
+    indices = np.take_along_axis(rows, order, axis=1).ravel().astype(np.int32)
+    indptr = np.arange(0, dim * (n + 1) + 1, n + 1, dtype=np.int32)
+    gather = (order + states[:, None] * (n + 1)).ravel()
+    diag = np.flatnonzero(order.ravel() == n)
+    for a in (bits, indices, indptr, gather, diag):
+        a.flags.writeable = False
+    return bits, indices, indptr, diag, gather
 
 
 def build_generator(g: AdjacencyVector, params: EpidemicParams) -> RateMatrix:
@@ -207,28 +245,20 @@ def build_generator(g: AdjacencyVector, params: EpidemicParams) -> RateMatrix:
 
     A susceptible node n flips up at rate I_n(x) beta + eps where I_n counts
     its infected neighbours; an infected node flips down at rate gamma.
-    Columns sum to zero.
+    Columns sum to zero.  The sparsity pattern (every single-flip entry and
+    the diagonal, zero rates stored explicitly) is built once per N and
+    shared; per network only the data vector is filled.
     """
     n = g.n_nodes
     dim = 1 << n
-    adj = unpack_adjacency(g)
-    states = np.arange(dim, dtype=np.int64)
-    bits = (states[:, None] >> np.arange(n)) & 1          # (dim, n)
-    n_inf = bits @ adj
+    bits, indices, indptr, diag, gather = _generator_pattern(n)
+    n_inf = bits @ unpack_adjacency(g)
     flip_rate = np.where(bits == 0, n_inf * params.beta + params.eps, params.gamma)
-    targets = states[:, None] ^ (np.int64(1) << np.arange(n))
-
-    rows = targets.ravel()
-    cols = np.repeat(states, n)
-    data = flip_rate.ravel().astype(float)
-    keep = data > 0
-    diag = -flip_rate.sum(axis=1)
-    q = sparse.csc_array(
-        (np.concatenate([data[keep], diag]),
-         (np.concatenate([rows[keep], states]), np.concatenate([cols[keep], states]))),
-        shape=(dim, dim),
-    )
-    return RateMatrix(dim=dim, q=q)
+    full = np.empty((dim, n + 1))
+    full[:, :n] = flip_rate
+    full[:, n] = -flip_rate.sum(axis=1)
+    q = sparse.csc_array((full.ravel()[gather], indices, indptr), shape=(dim, dim))
+    return RateMatrix(dim=dim, q=q, diag=diag)
 
 
 @dataclass(frozen=True)
@@ -243,6 +273,7 @@ class TransitionMatrix:
 MAX_DENSE_DIM = 4096  # dense oracle guard: 12 nodes, a 128 MiB matrix
 RTOL = 1e-12          # relative accuracy of the entries transition_columns names
 MAX_TERMS = 2000      # series terms per substep before giving up on RTOL
+INNER_TARGET = RTOL * np.finfo(float).tiny  # neglected mass of inner substeps
 
 
 def transition_matrix(rate: RateMatrix, dt: float) -> TransitionMatrix:
@@ -299,10 +330,12 @@ def transition_columns(rate: RateMatrix, dt: float, cols,
 
     n_sub = max(1, math.ceil(lam * dt / 200.0))  # exp(-mu) far from underflow
     mu = lam * dt / n_sub
-    jump = rate.q / lam
-    jump.setdiag(jump.diagonal() + 1.0)  # P = I + Q/lam, entrywise >= 0
+    # P = I + Q/lam, entrywise >= 0, on the pattern of Q; scaled by the
+    # reciprocal as scipy's q / lam is, so the entries match it bit for bit
+    data = rate.q.data * (1.0 / lam)
+    data[rate.diag] += 1.0
+    jump = sparse.csc_array((data, rate.q.indices, rate.q.indptr), shape=rate.q.shape)
     min_terms = 2 * (rate.dim.bit_length() - 1)
-    inner_target = RTOL * np.finfo(float).tiny
     lost = 0.0  # neglected mass of the finished substeps
     terms = 0   # jumps applied so far, over all substeps
     for s in range(n_sub):
@@ -316,7 +349,7 @@ def transition_columns(rate: RateMatrix, dt: float, cols,
             w_next = w * mu / (j + 1)
             tail = w_next / (1.0 - mu / (j + 2)) if j + 2 > mu else math.inf
             if not last:
-                target = inner_target
+                target = INNER_TARGET
             else:
                 target = RTOL - lost
                 if entries is not None and tail <= target:
@@ -347,7 +380,7 @@ def step_probability(m: TransitionMatrix, x_prev: NetworkState,
     return float(m.probs[x_next.linear_index, x_prev.linear_index])
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """States observed on a regular time grid.
 
@@ -355,25 +388,31 @@ class Trajectory:
     ----------
     times : (K+1,) float array, strictly increasing.
     states : (K+1, N) 0/1 array; row k is the state at times[k].
+
+    Both are private read-only copies, so `step_groups`, computed on first
+    use, stays valid for the life of the trajectory.
     """
 
     times: np.ndarray
     states: np.ndarray
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.states = np.asarray(self.states)
-        if self.times.ndim != 1 or self.states.ndim != 2:
+        times = np.array(self.times, dtype=float)
+        states = np.asarray(self.states)
+        if times.ndim != 1 or states.ndim != 2:
             raise ValueError("times must be 1-d and states 2-d")
-        if self.times.shape[0] != self.states.shape[0]:
+        if times.shape[0] != states.shape[0]:
             raise ValueError("times and states have mismatched lengths")
-        if self.times.size == 0:
+        if times.size == 0:
             raise ValueError("trajectory must contain at least one observation")
-        if np.any(np.diff(self.times) <= 0):
+        if np.any(np.diff(times) <= 0):
             raise ValueError("observation times must be strictly increasing")
-        if not np.isin(self.states, (0, 1)).all():
+        if not np.isin(states, (0, 1)).all():
             raise ValueError("states must be binary")
-        self.states = self.states.astype(np.int8)
+        states = states.astype(np.int8)
+        for name, value in (("times", times), ("states", states)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n_nodes(self) -> int:
@@ -386,6 +425,39 @@ class Trajectory:
     def state_indices(self) -> np.ndarray:
         weights = np.int64(1) << np.arange(self.n_nodes, dtype=np.int64)
         return self.states.astype(np.int64) @ weights
+
+    @functools.cached_property
+    def step_groups(self) -> tuple:
+        """The observed steps, grouped by length and counted per state pair.
+
+        One (dt, sources, entries, counts) tuple per distinct step length
+        dt, in increasing order: `sources` are the distinct states the
+        group's steps leave from, `entries` = (next states, positions into
+        `sources`) names each distinct (prev, next) pair, and `counts`
+        says how often it was observed.  Grid times built as k*dt differ
+        by ulps, so lengths equal to 12 significant digits share a group
+        and dt is the exact decimal value of those digits.
+        """
+        dim = 1 << self.n_nodes
+        idx = self.state_indices()
+        dts = np.diff(self.times)
+        # each distinct rounded length (not each step) is rendered once
+        scale = 10.0 ** (np.floor(np.log10(dts)) - 11)
+        uniq, group = np.unique(np.round(dts / scale) * scale, return_inverse=True)
+        lengths, merge = np.unique([float(f"{v:.12g}") for v in uniq], return_inverse=True)
+        pair = (merge[group] * dim + idx[:-1]) * dim + idx[1:]
+        pair, counts = np.unique(pair, return_counts=True)
+        key, nxt = np.divmod(pair, dim)
+        key, prev = np.divmod(key, dim)
+        groups = []
+        for k, dt in enumerate(lengths):
+            sel = key == k
+            sources, pos = np.unique(prev[sel], return_inverse=True)
+            entries, n_obs = (nxt[sel], pos), counts[sel]
+            for a in (sources, *entries, n_obs):
+                a.flags.writeable = False  # shared by every solve
+            groups.append((float(dt), sources, entries, n_obs))
+        return tuple(groups)
 
 
 def ssa_simulate(g: AdjacencyVector, params: EpidemicParams, dt: float,

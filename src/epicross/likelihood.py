@@ -28,38 +28,24 @@ def log_likelihood(g: AdjacencyVector, data: Trajectory,
                    params: EpidemicParams) -> float:
     """Exact log-likelihood of `g` for the observed trajectory.
 
-    Steps are grouped by length (equal to 12 significant digits, so grid
-    times differing in ulps share a group) and counted per distinct
-    (prev, next) state pair, c_ab.  Per group, only the columns of
-    exp(Q dt) of the distinct source states are propagated, by
-    uniformization certified to relative accuracy RTOL on the observed
-    entries p_ab, and log L = sum c_ab log p_ab.  Returns -inf when some
-    observed step is structurally impossible.
+    The steps grouped by length and counted per distinct (prev, next)
+    state pair, c_ab, come from `data.step_groups`, built once per
+    trajectory; the generator's sparsity pattern is built once per node
+    count.  Per solve, only the network's generator values are filled and,
+    per group, the columns of exp(Q dt) of the distinct source states are
+    propagated, by uniformization certified to relative accuracy RTOL on
+    the observed entries p_ab; log L = sum c_ab log p_ab.  Returns -inf
+    when some observed step is structurally impossible.
     """
     if g.n_nodes != data.n_nodes:
         raise ValueError(f"network has {g.n_nodes} nodes, data has {data.n_nodes}")
     if data.n_steps == 0:
         return 0.0
     rate = build_generator(g, params)
-    idx = data.state_indices()
-    dts = np.diff(data.times)
-    # grid times built as k*dt differ by ulps, so steps are grouped by their
-    # length rounded to 12 significant digits; each distinct rounded length
-    # (not each step) is then rendered once to take its exact decimal value
-    scale = 10.0 ** (np.floor(np.log10(dts)) - 11)
-    uniq, group = np.unique(np.round(dts / scale) * scale, return_inverse=True)
-    lengths, merge = np.unique([float(f"{v:.12g}") for v in uniq], return_inverse=True)
-    pair = (merge[group] * rate.dim + idx[:-1]) * rate.dim + idx[1:]
-    pair, counts = np.unique(pair, return_counts=True)
-    key, nxt = np.divmod(pair, rate.dim)
-    key, prev = np.divmod(key, rate.dim)
     total = 0.0
-    for k, dt in enumerate(lengths):
-        sel = key == k
-        sources, pos = np.unique(prev[sel], return_inverse=True)
-        entries = (nxt[sel], pos)
+    for dt, sources, entries, counts in data.step_groups:
         p = transition_columns(rate, dt, sources, entries)[entries]
         if np.any(p <= 0.0):
             return -math.inf
-        total += float(counts[sel] @ np.log(p))
+        total += float(counts @ np.log(p))
     return total

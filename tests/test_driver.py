@@ -33,6 +33,13 @@ PARAMS = EpidemicParams(beta=1.0, gamma=0.5, eps=0.01)
 # once from the exhaustive search over all 64 networks
 A1_SEED0_BITS = "101001"
 
+# run_inference on the N=5 chain, dataset seed 11 (t_max 60), tau 1 and
+# CrossConfig(r_max=4, n_max=400, seed=5, max_sweeps=4); frozen from a run
+# before the per-trajectory step table and the per-N generator pattern, so
+# the pivot path and the log-likelihood bits must not move
+GOLDEN_RUN = dict(n_eval=129, cache_hits=372, g_max="1010000011",
+                  termination="rank_saturated", loglik="-0x1.9c8af2b4a1c00p+6")
+
 
 def chain_data(n, t_max, seed, dt=0.1):
     x0 = NetworkState((1,) + (0,) * (n - 1))
@@ -123,6 +130,14 @@ class TestRunInference:
         assert rr.loglik == ll_brute
         assert rr.g_max == g_brute
         assert rr.link_error == network_error(rr.g_max, chain_network(4))
+
+    def test_golden_run(self):
+        data = chain_data(5, 60.0, seed=11)
+        cfg = CrossConfig(r_max=4, n_max=400, seed=5, max_sweeps=4)
+        rr = run_inference(data, PARAMS, 1.0, cfg, truth=chain_network(5))
+        assert dict(n_eval=rr.n_eval, cache_hits=rr.cache_hits,
+                    g_max=rr.g_max.bitstring, termination=rr.termination,
+                    loglik=rr.loglik.hex()) == GOLDEN_RUN
 
     def test_histories_deterministic(self):
         data = chain_data(4, 30.0, seed=2)

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
 
 from epicross import epidemic
@@ -32,6 +34,57 @@ from epicross.epidemic import (
 def random_network(rng, n_nodes):
     d = n_nodes * (n_nodes - 1) // 2
     return AdjacencyVector(tuple(int(b) for b in rng.integers(0, 2, size=d)))
+
+
+def coo_generator(g, params):
+    """Reference generator: assembled per call from COO triplets, with the
+    zero rates dropped."""
+    n = g.n_nodes
+    dim = 1 << n
+    adj = np.zeros((n, n), dtype=np.int64)
+    for (m, k), b in zip(pair_order(n), g.bits):
+        adj[m, k] = adj[k, m] = b
+    states = np.arange(dim, dtype=np.int64)
+    bits = (states[:, None] >> np.arange(n)) & 1
+    flip_rate = np.where(bits == 0, (bits @ adj) * params.beta + params.eps, params.gamma)
+    targets = states[:, None] ^ (np.int64(1) << np.arange(n))
+    data = flip_rate.ravel()
+    keep = data > 0
+    q = sparse.coo_array(
+        (np.concatenate([data[keep], -flip_rate.sum(axis=1)]),
+         (np.concatenate([targets.ravel()[keep], states]),
+          np.concatenate([np.repeat(states, n)[keep], states]))),
+        shape=(dim, dim))
+    return q.toarray()
+
+
+def reference_columns(rate, dt, cols, entries):
+    """One-substep uniformization (lam dt <= 200) with the jump matrix built
+    as scipy's rate.q / lam plus setdiag, stopping as transition_columns
+    does."""
+    lam = float((-rate.q.diagonal()).max())
+    jump = rate.q / lam
+    jump.setdiag(jump.diagonal() + 1.0)
+    v = np.zeros((rate.dim, len(cols)))
+    v[cols, np.arange(len(cols))] = 1.0
+    mu = lam * dt
+    w = math.exp(-mu)
+    term, acc = v, w * v
+    for j in range(epidemic.MAX_TERMS):
+        w_next = w * mu / (j + 1)
+        tail = w_next / (1.0 - mu / (j + 2)) if j + 2 > mu else math.inf
+        target = epidemic.RTOL
+        if tail <= target:
+            p = acc[entries]
+            if j >= 2 * (rate.dim.bit_length() - 1):
+                p = p[p > 0.0]
+            target = epidemic.RTOL * p.min(initial=1.0)
+        if 0.0 < target and tail <= target:
+            return acc
+        term = jump @ term
+        w = w_next
+        acc += w * term
+    raise AssertionError("reference series did not stop")
 
 
 class TestAdjacency:
@@ -189,6 +242,34 @@ class TestGenerator:
                 assert q1[y, x] == q2[y, x]
 
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_coo_reference(self, n):
+        rng = np.random.default_rng(40 + n)
+        for beta, gamma, eps in [rng.uniform(0.05, 2.0, size=3),
+                                 (rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0), 0.0),
+                                 (0.0, rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0)),
+                                 (0.0, 0.0, 0.0)]:
+            p = EpidemicParams(beta, gamma, eps)
+            for _ in range(3):
+                g = random_network(rng, n)
+                rate = build_generator(g, p)
+                reference = coo_generator(g, p)
+                assert np.array_equal(rate.dense(), reference)
+                assert np.array_equal(rate.exit_rates(), -np.diag(reference))
+
+    def test_shared_pattern_is_read_only(self):
+        # generators of one node count share the sparsity pattern, so an
+        # in-place structural change must fail instead of corrupting it
+        p = EpidemicParams(beta=1.0, gamma=0.5, eps=0.0)
+        q = build_generator(AdjacencyVector.empty(3), p).q
+        with pytest.raises(ValueError):
+            q.indices[0] = 1
+        with pytest.raises(ValueError):
+            q.eliminate_zeros()
+        other = build_generator(chain_network(3), p).dense()
+        assert np.array_equal(other, coo_generator(chain_network(3), p))
+
+
 class TestTransitionMatrix:
     def test_stochastic_columns(self):
         rng = np.random.default_rng(9)
@@ -268,6 +349,24 @@ class TestTransitionMatrix:
         assert cols[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert cols[0, 1] > 0.0
 
+    def test_columns_bit_identical_to_scipy_jump_matrix(self):
+        rng = np.random.default_rng(17)
+        for trial in range(24):
+            n = int(rng.integers(2, 8))
+            beta, gamma, eps = rng.uniform(0.05, 2.0, size=3)
+            if trial % 4 == 1:
+                eps = 0.0
+            if trial % 4 == 2:
+                beta = 0.0
+            rate = build_generator(random_network(rng, n), EpidemicParams(beta, gamma, eps))
+            dt = float(rng.uniform(0.01, 2.0))
+            cols = np.sort(rng.choice(rate.dim, size=min(6, rate.dim), replace=False))
+            rows = rng.integers(0, rate.dim, size=10)
+            entries = (rows, rng.integers(0, cols.size, size=10))
+            got = transition_columns(rate, dt, cols, entries)
+            want = reference_columns(rate, dt, cols, entries)
+            assert got.tobytes() == want.tobytes()
+
     def test_step_probability_lookup(self):
         p = EpidemicParams(beta=1.0, gamma=0.5, eps=0.01)
         m = transition_matrix(build_generator(AdjacencyVector((1,)), p), 0.2)
@@ -287,6 +386,33 @@ class TestTrajectory:
             Trajectory(np.array([0.0, 1.0]), np.full((2, 2), 2))
         with pytest.raises(ValueError):
             Trajectory(np.array([]), np.zeros((0, 2)))
+
+    def test_arrays_read_only(self):
+        times = np.array([0.0, 1.0])
+        states = np.array([[1, 0], [0, 1]])
+        t = Trajectory(times, states)
+        with pytest.raises(ValueError):
+            t.times[0] = -1.0
+        with pytest.raises(ValueError):
+            t.states[0, 0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.times = np.array([0.0, 2.0])
+        # the trajectory holds copies, so the caller's arrays stay writable
+        # and writing to them leaves the trajectory alone
+        times[1] = 5.0
+        states[0, 0] = 0
+        assert t.times[1] == 1.0 and t.states[0, 0] == 1
+
+    def test_step_groups(self):
+        # 3 steps of 0.1 (two of them 0 -> 1) and one of 0.2
+        t = Trajectory(np.array([0.0, 0.1, 0.2, 0.3, 0.5]),
+                       np.array([[0], [1], [0], [1], [1]]))
+        (dt1, src1, (nxt1, pos1), c1), (dt2, src2, (nxt2, pos2), c2) = t.step_groups
+        assert (dt1, dt2) == (0.1, 0.2)
+        assert src1.tolist() == [0, 1] and nxt1.tolist() == [1, 0]
+        assert pos1.tolist() == [0, 1] and c1.tolist() == [2, 1]
+        assert src2.tolist() == [1] and nxt2.tolist() == [1] and c2.tolist() == [1]
+        assert t.step_groups is t.step_groups
 
     def test_state_indices(self):
         t = Trajectory(np.array([0.0, 1.0]), np.array([[1, 0, 1], [0, 1, 1]]))

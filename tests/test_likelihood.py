@@ -132,6 +132,21 @@ class TestLogLikelihood:
         ll = log_likelihood(AdjacencyVector.empty(n), data, params)
         assert ll == pytest.approx(n * math.log(p1), abs=1e-9)
 
+    def test_equal_trajectories_equal_loglik(self):
+        # the step table is cached per trajectory; a second trajectory with
+        # equal arrays, whose table is not built yet, gives the same bits
+        fine = ssa_simulate(chain_network(4), REF_PARAMS, 0.05, 20.0,
+                            NetworkState((1, 0, 0, 0)), seed=8)
+        keep = np.r_[0, np.sort(np.random.default_rng(8).choice(
+            np.arange(1, fine.times.size), size=200, replace=False))]
+        a = Trajectory(fine.times[keep], fine.states[keep])
+        b = Trajectory(a.times.copy(), a.states.copy())
+        assert len(a.step_groups) > 1
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            g = AdjacencyVector(tuple(int(x) for x in rng.integers(0, 2, size=6)))
+            assert log_likelihood(g, b, REF_PARAMS) == log_likelihood(g, a, REF_PARAMS)
+
     def test_never_positive(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
