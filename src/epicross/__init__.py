@@ -14,7 +14,6 @@ from .epidemic import (
     read_network,
     read_trajectory,
     ssa_simulate,
-    step_probability,
     transition_columns,
     transition_matrix,
     unpack_adjacency,

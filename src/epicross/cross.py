@@ -50,7 +50,6 @@ class CrossConfig:
     rook_max_iters: int = 3
     seed: int = 0
     max_sweeps: int | None = None
-    alternate_directions: bool = True
     pivot_rtol: float = 1e-14
 
     def __post_init__(self):
@@ -362,7 +361,6 @@ class CrossInterpolant:
         self._lu = [None] * self.d
         for k in range(1, self.d):
             self._refresh_cross(k)
-        self.pivot_log: list[tuple[int, tuple, tuple]] = []
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -464,7 +462,6 @@ class CrossInterpolant:
         self.fibers[k] = np.concatenate([self.fibers[k], new_col], axis=2)
         self.fibers[k + 1] = np.concatenate([self.fibers[k + 1], new_row], axis=0)
         self._refresh_cross(k)
-        self.pivot_log.append((k, prefix, suffix))
 
     def bond_saturated(self, k: int) -> bool:
         """No free rows or no free columns left at bond k."""
@@ -745,7 +742,7 @@ def cross_optimize(objective, d: int, g0, config: CrossConfig,
             return result("budget", interp)
         if config.max_sweeps is not None and sweeps_done >= config.max_sweeps:
             return result("max_sweeps", interp)
-        direction = "rl" if (config.alternate_directions and sweeps_done % 2) else "lr"
+        direction = "rl" if sweeps_done % 2 else "lr"
         try:
             report = sweep(interp, direction, rng, config)
         except TemperOverflowError:

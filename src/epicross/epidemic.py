@@ -8,15 +8,23 @@ sits in the least significant bit.
 
 Transition probabilities come from one routine, transition_columns: the
 uniformized columns of exp(Q dt) for chosen source states, with a checked
-relative error bound on the entries the caller names.  The dense
-transition_matrix is a reference oracle for small systems.
+relative error bound on the entries the caller names.  A large block of
+columns is split between the caller and one helper process, with the same
+bytes as the serial series.  The dense transition_matrix is a reference
+oracle for small systems.
 """
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import functools
 import math
+import os
+import signal
+import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -274,6 +282,9 @@ MAX_DENSE_DIM = 4096  # dense oracle guard: 12 nodes, a 128 MiB matrix
 RTOL = 1e-12          # relative accuracy of the entries transition_columns names
 MAX_TERMS = 2000      # series terms per substep before giving up on RTOL
 INNER_TARGET = RTOL * np.finfo(float).tiny  # neglected mass of inner substeps
+# states x columns from which a block is split between two processes: the
+# break-even of the exchange, 15 000 to 20 000 on a 2-vCPU machine
+SPLIT_MIN_WORK = 20_000
 
 
 def transition_matrix(rate: RateMatrix, dt: float) -> TransitionMatrix:
@@ -315,27 +326,71 @@ def transition_columns(rate: RateMatrix, dt: float, cols,
     Large lam dt is split into substeps of mean <= 200; all but the last
     run to RTOL times the smallest normal double.  Missing the bound within
     MAX_TERMS terms of a substep raises ArithmeticError.
+
+    When the process may run on two or more CPUs and the block holds at
+    least SPLIT_MIN_WORK entries (states times columns), the second half
+    of the columns is propagated by a helper process while the caller
+    propagates the first; the result is byte for byte the serial one.
     """
+    cols, series = _prepare(rate, dt, cols)
+    if series is None:
+        return _indicators(rate.dim, cols)
+    if rate.dim * cols.size >= SPLIT_MIN_WORK and _cpus() > 1:
+        split = _split_block(series, cols, entries)
+        if split is not None:
+            return split
+    return _block(series, cols, entries)[0]
+
+
+class _Series(NamedTuple):
+    """What every block of columns of one transition_columns call shares."""
+
+    jump: sparse.csc_array  # P = I + Q/lam
+    mu: float               # Poisson mean of one substep
+    n_sub: int              # substeps
+    min_terms: int          # terms after which a zero named entry is structural
+
+
+def _prepare(rate: RateMatrix, dt: float, cols) -> tuple[np.ndarray, _Series | None]:
+    """Validated source columns and the series that propagates them, or
+    None when exp(Q dt) is the identity (no rate or no time)."""
     dt = float(dt)
     if not math.isfinite(dt) or dt < 0:
         raise ValueError(f"dt must be finite and nonnegative, got {dt}")
     cols = np.atleast_1d(np.asarray(cols, dtype=np.int64))
     if cols.size and (cols.min() < 0 or cols.max() >= rate.dim):
         raise ValueError("column indices out of range")
-    v = np.zeros((rate.dim, cols.size))
-    v[cols, np.arange(cols.size)] = 1.0
     lam = float(rate.exit_rates().max(initial=0.0))
     if lam == 0.0 or dt == 0.0:
-        return v
-
+        return cols, None
     n_sub = max(1, math.ceil(lam * dt / 200.0))  # exp(-mu) far from underflow
-    mu = lam * dt / n_sub
     # P = I + Q/lam, entrywise >= 0, on the pattern of Q; scaled by the
     # reciprocal as scipy's q / lam is, so the entries match it bit for bit
     data = rate.q.data * (1.0 / lam)
     data[rate.diag] += 1.0
     jump = sparse.csc_array((data, rate.q.indices, rate.q.indptr), shape=rate.q.shape)
-    min_terms = 2 * (rate.dim.bit_length() - 1)
+    return cols, _Series(jump, lam * dt / n_sub, n_sub, 2 * (rate.dim.bit_length() - 1))
+
+
+def _indicators(dim: int, cols: np.ndarray) -> np.ndarray:
+    v = np.zeros((dim, cols.size))
+    v[cols, np.arange(cols.size)] = 1.0
+    return v
+
+
+def _block(series: _Series, cols: np.ndarray, entries,
+           agree=None) -> tuple[np.ndarray, bool]:
+    """The series of transition_columns on one block of source columns.
+
+    Columns never mix (each term is P applied to each column on its own),
+    so a block's sums are bit for bit those columns of the whole.  Only the
+    last substep's stopping index j depends on the columns: at the first j
+    where this block's test holds, `agree(j)` returns the index to stop at
+    instead (j itself without `agree`).  Returns the sums and whether the
+    test holds at the index stopped at.
+    """
+    jump, mu, n_sub, min_terms = series
+    v = _indicators(jump.shape[0], cols)
     lost = 0.0  # neglected mass of the finished substeps
     terms = 0   # jumps applied so far, over all substeps
     for s in range(n_sub):
@@ -343,22 +398,29 @@ def transition_columns(rate: RateMatrix, dt: float, cols,
         w = math.exp(-mu)
         term = v
         acc = w * v
+        stop = None  # the agreed stopping index of the last substep
         for j in range(MAX_TERMS + 1):
             # bound on sum_{i > j} w_i; the ratios w_{i+1}/w_i fall below
             # mu/(j+2) < 1 once j + 2 > mu
             w_next = w * mu / (j + 1)
             tail = w_next / (1.0 - mu / (j + 2)) if j + 2 > mu else math.inf
-            if not last:
-                target = INNER_TARGET
-            else:
-                target = RTOL - lost
-                if entries is not None and tail <= target:
-                    p = acc[entries]
-                    if terms + j >= min_terms:
-                        p = p[p > 0.0]
-                    target = RTOL * p.min(initial=1.0) - lost
-            if 0.0 < target and tail <= target:
-                break
+            if stop is None or j == stop:
+                if not last:
+                    target = INNER_TARGET
+                else:
+                    target = RTOL - lost
+                    if entries is not None and tail <= target:
+                        p = acc[entries]
+                        if terms + j >= min_terms:
+                            p = p[p > 0.0]
+                        target = RTOL * p.min(initial=1.0) - lost
+                held = 0.0 < target and tail <= target
+                if j == stop or (held and not last):
+                    break
+                if held:
+                    stop = j if agree is None else agree(j)
+                    if stop == j:
+                        break
             if j == MAX_TERMS:
                 raise ArithmeticError(
                     f"uniformization missed relative accuracy {RTOL:g} within "
@@ -369,18 +431,177 @@ def transition_columns(rate: RateMatrix, dt: float, cols,
         lost += tail
         terms += j
         v = acc
-    return v
+    return v, held
 
 
-def step_probability(m: TransitionMatrix, x_prev: NetworkState,
-                     x_next: NetworkState) -> float:
-    """Probability of observing x_next a time m.dt after x_prev."""
-    if (1 << x_prev.n_nodes) != m.dim or (1 << x_next.n_nodes) != m.dim:
-        raise ValueError("state size does not match transition matrix")
-    return float(m.probs[x_next.linear_index, x_prev.linear_index])
+# -- the split ----------------------------------------------------------------
+#
+# The serial series stops at the first j where 0 < target and tail <= target,
+# target = RTOL * (smallest named entry) - lost.  The smallest entry over all
+# columns is the smaller of the blocks' smallest, so the serial test is the
+# AND of the block tests, and each block test, once true, stays true (the
+# tail falls, the sums only grow, the zero filter only raises the minimum).
+# So the serial index is the larger of the blocks' first indices, and both
+# blocks run on to it.  Each block checks its test again there, and a failed
+# check falls back to the serial series: the bytes never rest on that argument.
+#
+# The helper is one forked process per process that splits.  It is started on
+# the first split, never while other threads run, and stopped (hung up on and
+# reaped) when it fails, when it dies and at exit; a forked child of the
+# caller drops the parent's and starts its own.
+
+_helper_lock = threading.Lock()  # one split at a time; a busy helper means serial
+_helper = None  # (pid, connection) of this process's helper, once started
 
 
-@dataclass(frozen=True)
+def _cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _split_block(series: _Series, cols: np.ndarray, entries) -> np.ndarray | None:
+    """The series with the second half of `cols` propagated by the helper.
+
+    Returns None, and the caller runs the series serially, when the helper
+    is busy (another thread's solve), cannot start or has died.  An
+    exception raised in the helper is raised here.
+    """
+    if not _helper_lock.acquire(blocking=False):
+        return None
+    try:
+        helper = _running_helper()
+        if helper is None:
+            return None
+        pid, conn = helper
+        _keep_apart(pid)
+        half = cols.size // 2
+        if entries is None:
+            mine = theirs = None
+        else:
+            rows, pos = (np.asarray(a) for a in entries)
+            first = pos < half
+            mine, theirs = (rows[first], pos[first]), (rows[~first], pos[~first] - half)
+        try:
+            conn.send((series, cols[half:], theirs))
+            acc, held = _block(series, cols[:half], mine, lambda j: _agree(conn, j))
+            held_theirs = _receive(conn)
+            # as raw bytes: passing a pickled array costs several times more
+            acc_theirs = np.empty((acc.shape[0], cols.size - half))
+            conn.recv_bytes_into(memoryview(acc_theirs).cast("B"))
+        except (EOFError, OSError):  # the helper has died
+            _stop_helper()
+            return None
+        except BaseException:  # the helper may be mid-exchange: start afresh
+            _stop_helper()
+            raise
+    finally:
+        _helper_lock.release()
+    if not (held and held_theirs):
+        return None
+    return np.concatenate((acc, acc_theirs), axis=1)
+
+
+def _keep_apart(pid: int) -> None:
+    """Keep the helper off the CPU this thread runs on.
+
+    A message wakes its reader on the writer's CPU (a synchronous
+    wake-up), so left to the scheduler the helper and its caller end up
+    taking turns on one CPU.
+    """
+    try:
+        with open("/proc/thread-self/stat", "rb") as fh:
+            cpu = int(fh.read().rsplit(b")", 1)[1].split()[36])
+        os.sched_setaffinity(pid, os.sched_getaffinity(0) - {cpu})
+    except (OSError, ValueError, IndexError):
+        pass  # nothing to read or no CPU to spare: the scheduler places it
+
+
+def _agree(conn, j: int) -> int:
+    """Stop both blocks at the later of their first stopping indices."""
+    stop = max(j, _receive(conn))
+    conn.send(stop)
+    return stop
+
+
+def _receive(conn):
+    msg = conn.recv()
+    if isinstance(msg, BaseException):
+        raise msg
+    return msg
+
+
+def _running_helper():
+    """This process's helper, started on first use; None when it cannot
+    start: forking while other threads run is unsafe, or the fork failed."""
+    global _helper
+    if _helper is None and threading.active_count() == 1:
+        # imported here, so that importing epicross stays as quick as before
+        from multiprocessing.connection import Pipe
+        caller_end, helper_end = Pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            caller_end.close()
+            helper_end.close()
+            return None
+        if pid == 0:  # the helper: never returns into the caller's code
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's
+                caller_end.close()
+                _serve(helper_end)
+            finally:
+                os._exit(0)
+        helper_end.close()
+        _helper = (pid, caller_end)
+    return _helper
+
+
+def _serve(conn) -> None:
+    """The helper's loop: run each block it is sent until the caller hangs
+    up (EOF here, or a broken pipe mid-exchange)."""
+    def agree(j):
+        conn.send(j)
+        return conn.recv()
+
+    while True:
+        try:
+            series, cols, entries = conn.recv()
+        except EOFError:
+            return
+        try:
+            acc, held = _block(series, cols, entries, agree)
+        except Exception as exc:  # raised again in the caller
+            conn.send(exc)
+            continue
+        conn.send(held)
+        conn.send_bytes(acc)
+
+
+def _stop_helper() -> None:
+    """Hang up on the helper, which exits on EOF, and reap it."""
+    global _helper
+    if _helper is not None:
+        pid, conn = _helper
+        _helper = None
+        conn.close()
+        with contextlib.suppress(ChildProcessError):  # reaped elsewhere
+            os.waitpid(pid, 0)
+
+
+def _forget_helper() -> None:
+    """In a forked child: the helper and its lock are the parent's."""
+    global _helper, _helper_lock
+    if _helper is not None:
+        _helper[1].close()  # this process's copy only
+    _helper, _helper_lock = None, threading.Lock()
+
+
+atexit.register(_stop_helper)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """States observed on a regular time grid.
 

@@ -1,5 +1,10 @@
 import dataclasses
+import hashlib
 import math
+import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +27,6 @@ from epicross.epidemic import (
     read_network,
     read_trajectory,
     ssa_simulate,
-    step_probability,
     transition_columns,
     transition_matrix,
     unpack_adjacency,
@@ -367,13 +371,143 @@ class TestTransitionMatrix:
             want = reference_columns(rate, dt, cols, entries)
             assert got.tobytes() == want.tobytes()
 
-    def test_step_probability_lookup(self):
-        p = EpidemicParams(beta=1.0, gamma=0.5, eps=0.01)
-        m = transition_matrix(build_generator(AdjacencyVector((1,)), p), 0.2)
-        a, b = NetworkState((0, 0)), NetworkState((1, 0))
-        assert step_probability(m, a, b) == m.probs[1, 0]
-        with pytest.raises(ValueError):
-            step_probability(m, NetworkState((0, 0, 0)), b)
+
+# A block large enough to be split (512 states x 64 columns), as code that a
+# child interpreter can run too.
+BIG_CASE = """
+import numpy as np
+from epicross.epidemic import EpidemicParams, build_generator, chain_network
+rate = build_generator(chain_network(9), EpidemicParams(1.0, 0.5, 0.01))
+dt = 0.3
+cols = np.arange(0, 512, 8)
+entries = (np.arange(64) * 7 % 512, np.arange(64))
+"""
+
+
+def big_case():
+    ns = {}
+    exec(BIG_CASE, ns)
+    return ns["rate"], ns["dt"], ns["cols"], ns["entries"]
+
+
+def run_child(script, timeout=120):
+    """Run `script` in a fresh interpreter that imports this epicross."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(epidemic.__file__)))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+def split_cases():
+    """26 random blocks of N = 7..9 nodes: eps = 0 and beta = 0 rates,
+    blocks with and without named entries, all named entries in one half,
+    and one interval of lam dt > 200."""
+    rng = np.random.default_rng(31)
+    for trial in range(26):
+        n = 7 + trial % 3
+        beta, gamma, eps = rng.uniform(0.05, 2.0, size=3)
+        if trial % 4 == 1:
+            eps = 0.0
+        if trial % 4 == 2:
+            beta = 0.0
+        rate = build_generator(random_network(rng, n), EpidemicParams(beta, gamma, eps))
+        dt = float(rng.uniform(0.01, 2.0))
+        if trial == 7:
+            dt = 450.0 / rate.exit_rates().max()  # three substeps of mean 150
+        n_cols = int(rng.integers(6, 48))
+        cols = np.sort(rng.choice(rate.dim, size=n_cols, replace=False))
+        rows = rng.integers(0, rate.dim, size=3 * n_cols)
+        pos = rng.integers(0, n_cols, size=3 * n_cols)
+        if trial == 5:
+            pos = pos % (n_cols // 2)  # the second block names no entry
+        if trial == 9:
+            pos = n_cols // 2 + pos % (n_cols - n_cols // 2)  # nor the first
+        yield rate, dt, cols, None if trial % 5 == 3 else (rows, pos)
+
+
+class TestSplit:
+    def test_split_bit_identical_to_serial(self):
+        for rate, dt, cols, entries in split_cases():
+            cols, series = epidemic._prepare(rate, dt, cols)
+            serial = epidemic._block(series, cols, entries)[0]
+            split = epidemic._split_block(series, cols, entries)
+            assert split is not None
+            assert split.tobytes() == serial.tobytes()
+            assert transition_columns(rate, dt, cols, entries).tobytes() == serial.tobytes()
+            if entries is not None and series.n_sub == 1:
+                want = reference_columns(rate, dt, cols, entries)
+                assert split.tobytes() == want.tobytes()
+
+    def test_busy_or_dead_helper_runs_serially(self):
+        rate, dt, cols, entries = big_case()
+        cols, series = epidemic._prepare(rate, dt, cols)
+        serial = epidemic._block(series, cols, entries)[0]
+        with epidemic._helper_lock:  # another thread's split in flight
+            assert epidemic._split_block(series, cols, entries) is None
+            assert transition_columns(rate, dt, cols, entries).tobytes() == serial.tobytes()
+        assert epidemic._split_block(series, cols, entries) is not None
+        os.kill(epidemic._helper[0], signal.SIGKILL)
+        assert epidemic._split_block(series, cols, entries) is None
+        assert epidemic._helper is None  # reaped
+        split = epidemic._split_block(series, cols, entries)  # a new helper
+        assert split is not None and split.tobytes() == serial.tobytes()
+
+    def test_helper_error_reaches_caller(self, monkeypatch):
+        rate, dt, cols, entries = big_case()
+        cols, series = epidemic._prepare(rate, dt, cols)
+        epidemic._stop_helper()
+        monkeypatch.setattr(epidemic, "MAX_TERMS", 3)
+        try:
+            assert epidemic._running_helper() is not None  # forked with 3 terms
+            monkeypatch.undo()
+            with pytest.raises(ArithmeticError, match="within 3 terms"):
+                epidemic._split_block(series, cols, entries)
+        finally:
+            epidemic._stop_helper()
+
+    def test_child_exits_and_leaves_no_helper(self):
+        # a split in a child interpreter and in a process it forks, which
+        # uses a helper of its own and whose exit leaves the parent's alone;
+        # the child then exits on its own
+        script = BIG_CASE + """
+import os, sys
+from epicross import epidemic
+cols, series = epidemic._prepare(rate, dt, cols)
+want = epidemic._block(series, cols, entries)[0].tobytes()
+assert epidemic._split_block(series, cols, entries).tobytes() == want
+helper = epidemic._helper[0]
+pid = os.fork()
+if pid == 0:
+    ok = epidemic._helper is None
+    ok = ok and epidemic._split_block(series, cols, entries).tobytes() == want
+    ok = ok and epidemic._helper[0] != helper
+    sys.exit(0 if ok else 1)
+assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+assert epidemic._split_block(series, cols, entries).tobytes() == want
+assert epidemic._helper[0] == helper
+print(helper)
+"""
+        proc = run_child(script)
+        assert proc.returncode == 0, proc.stderr
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(proc.stdout.split()[-1]), 0)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_one_cpu_runs_serially(self):
+        script = """
+import hashlib, os
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+""" + BIG_CASE + """
+from epicross import epidemic
+out = epidemic.transition_columns(rate, dt, cols, entries)
+print(epidemic._helper is None, hashlib.sha256(out.tobytes()).hexdigest())
+"""
+        proc = run_child(script)
+        assert proc.returncode == 0, proc.stderr
+        rate, dt, cols, entries = big_case()
+        cols, series = epidemic._prepare(rate, dt, cols)
+        split = epidemic._split_block(series, cols, entries)
+        assert proc.stdout.split() == ["True", hashlib.sha256(split.tobytes()).hexdigest()]
 
 
 class TestTrajectory:
@@ -413,6 +547,12 @@ class TestTrajectory:
         assert pos1.tolist() == [0, 1] and c1.tolist() == [2, 1]
         assert src2.tolist() == [1] and nxt2.tolist() == [1] and c2.tolist() == [1]
         assert t.step_groups is t.step_groups
+
+    def test_equality_is_identity(self):
+        a = Trajectory(np.array([0.0, 1.0]), np.array([[1, 0], [0, 1]]))
+        b = Trajectory(a.times, a.states)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
 
     def test_state_indices(self):
         t = Trajectory(np.array([0.0, 1.0]), np.array([[1, 0, 1], [0, 1, 1]]))
