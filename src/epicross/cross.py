@@ -22,14 +22,16 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 # crossing this many modes makes materializing the interpolant (2^d entries)
 # more expensive than the search itself, so the final argmax harvest skips it
 ARGMAX_ENUM_LIMIT = 20
+# pivots whose residual is below this times the entry's own magnitude are
+# floating-point noise and are not admitted
+PIVOT_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -40,8 +42,6 @@ class CrossConfig:
     delta stops once the largest sweep residual drops below delta times
     the best value seen; rook_max_iters bounds the alternating row/column
     maximization; max_sweeps, when set, bounds the number of sweeps.
-    Pivots whose residual is below pivot_rtol times the entry's own
-    magnitude are floating-point noise and are not admitted.
     """
 
     r_max: int = 10
@@ -50,7 +50,6 @@ class CrossConfig:
     rook_max_iters: int = 3
     seed: int = 0
     max_sweeps: int | None = None
-    pivot_rtol: float = 1e-14
 
     def __post_init__(self):
         if self.r_max < 1:
@@ -63,8 +62,6 @@ class CrossConfig:
             raise ValueError(f"rook_max_iters must be >= 1, got {self.rook_max_iters}")
         if self.max_sweeps is not None and self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
-        if not (math.isfinite(self.pivot_rtol) and self.pivot_rtol >= 0):
-            raise ValueError(f"pivot_rtol must be finite and >= 0, got {self.pivot_rtol}")
 
 
 class Memo:
@@ -325,7 +322,8 @@ class CrossInterpolant:
     k), suffix set right[k] (tuples covering bits k..d-1), both of size
     r_k, with left[k] nested in left[k-1] x {0,1} and right[k] in
     {0,1} x right[k+1].  fiber[k] holds f on left[k-1] x {0,1} x right[k];
-    the cross matrix A_k = f(left[k] x right[k]) is kept LU-factored.
+    the cross matrix A_k = f(left[k] x right[k]) is read from fiber[k] and
+    solved where it is used.
     Initialized at rank one from a pivot index g0, which must have a
     nonzero objective value.  `objective` is called once per entry lookup;
     `evaluations()` returns the solves spent so far, which the sweeps hold
@@ -355,12 +353,10 @@ class CrossInterpolant:
         self.fibers = [None] * (self.d + 1)
         for k in range(1, self.d + 1):
             fib = np.empty((1, 2, 1))
-            for b in (0, 1):
-                fib[0, b, 0] = objective(g0[:k - 1] + (b,) + g0[k:])
+            b = g0[k - 1]
+            fib[0, b, 0] = f0
+            fib[0, 1 - b, 0] = objective(g0[:k - 1] + (1 - b,) + g0[k:])
             self.fibers[k] = fib
-        self._lu = [None] * self.d
-        for k in range(1, self.d):
-            self._refresh_cross(k)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -379,22 +375,6 @@ class CrossInterpolant:
             a[i, :] = self.fibers[k][self.left_pos[k - 1][q[:-1]], q[-1], :]
         return a
 
-    def _refresh_cross(self, k: int) -> None:
-        self._lu[k] = lu_factor(self._cross_matrix(k))
-
-    # -- evaluation --------------------------------------------------------
-
-    def eval(self, bits) -> float:
-        """Interpolated value; uses stored fibers only, no objective calls."""
-        bits = tuple(int(b) for b in bits)
-        if len(bits) != self.d:
-            raise ValueError(f"index must have length {self.d}")
-        v = self.fibers[1][0, bits[0], :]
-        for k in range(2, self.d + 1):
-            v = lu_solve(self._lu[k - 1], v, trans=1)
-            v = v @ self.fibers[k][:, bits[k - 1], :]
-        return float(v[0])
-
     # -- bond access -------------------------------------------------------
 
     def bond_view(self, k: int) -> tuple[SubtensorView, set, set]:
@@ -412,8 +392,8 @@ class CrossInterpolant:
         # that only marks the entry as a maximal residual, and evaluating it
         # triggers the clean overflow abort, so silence the warning
         with np.errstate(over="ignore"):
-            growth = lu_solve(self._lu[k],
-                              self.fibers[k + 1].reshape(len(self.left[k]), -1))
+            growth = np.linalg.solve(self._cross_matrix(k),
+                                     self.fibers[k + 1].reshape(len(self.left[k]), -1))
             approx = f_left @ growth
 
         def entry(i, j):
@@ -435,8 +415,8 @@ class CrossInterpolant:
     def admit(self, k: int, i: int, j: int) -> None:
         """Grow bond k by the pivot at view entry (i, j).
 
-        Appends the pivot's prefix to left[k] and suffix to right[k],
-        extends the two adjacent fibers and refactors A_k.  All new
+        Appends the pivot's prefix to left[k] and suffix to right[k] and
+        extends the two adjacent fibers, which hold the grown A_k.  All new
         objective values are gathered before any state is mutated, so a
         failed evaluation leaves the interpolant unchanged.
         """
@@ -461,7 +441,6 @@ class CrossInterpolant:
         self.right[k].append(suffix)
         self.fibers[k] = np.concatenate([self.fibers[k], new_col], axis=2)
         self.fibers[k + 1] = np.concatenate([self.fibers[k + 1], new_row], axis=0)
-        self._refresh_cross(k)
 
     def bond_saturated(self, k: int) -> bool:
         """No free rows or no free columns left at bond k."""
@@ -475,7 +454,7 @@ class CrossInterpolant:
         for k in range(1, self.d):
             r_prev = self.fibers[k].shape[0]
             flat = self.fibers[k].reshape(-1, len(self.right[k]))
-            solved = lu_solve(self._lu[k], flat.T, trans=1).T
+            solved = np.linalg.solve(self._cross_matrix(k).T, flat.T).T
             cores.append(solved.reshape(r_prev, 2, -1).copy())
         cores.append(self.fibers[self.d].copy())
         return TensorTrain(cores)
@@ -624,7 +603,7 @@ def sweep(interp: CrossInterpolant, direction: str, rng, config: CrossConfig) ->
         # residuals below the pivot's own floating-point scale are
         # cancellation noise; admitting them buys nothing and risks a
         # singular cross matrix
-        if step.max_error <= config.pivot_rtol * view.scale(*step.pivot):
+        if step.max_error <= PIVOT_RTOL * view.scale(*step.pivot):
             continue
         interp.admit(k, *step.pivot)
         added += 1
@@ -642,7 +621,10 @@ class SweepRecord:
     max_error: float
     g_max: tuple
     value: float
-    cpu_seconds: float  # process CPU time since the optimizer started
+    # CPU time of all of this process's threads since the optimizer started;
+    # the helper process that takes half of a split solve is not counted, so
+    # a run with split solves can read less CPU time than wall time
+    cpu_seconds: float
 
 
 @dataclass

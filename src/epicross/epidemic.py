@@ -28,7 +28,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import expm
 
 
 class CapacityError(RuntimeError):
@@ -301,6 +300,9 @@ def transition_matrix(rate: RateMatrix, dt: float) -> TransitionMatrix:
         raise CapacityError(
             f"dim {rate.dim} exceeds the dense limit {MAX_DENSE_DIM}; "
             "use transition_columns")
+    # imported here, so that importing epicross does not load scipy.linalg
+    from scipy.linalg import expm
+
     p = expm(rate.dense() * dt)
     col_sums = p.sum(axis=0)
     if np.max(np.abs(col_sums - 1.0)) > 1e-10:
