@@ -27,7 +27,6 @@ from .cross import (
     CrossResult,
     Memo,
     TemperConfig,
-    TemperOverflowError,
     TensorTrain,
     cross_optimize,
     load_tt_cores,

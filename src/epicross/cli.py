@@ -115,8 +115,8 @@ def _cmd_infer(args) -> int:
         cache.save(args.cache_out)
     if args.cores_out:
         if result.tensor is None:
-            print("no interpolant built before abort; skipping --cores-out",
-                  file=sys.stderr)
+            print("a cross matrix of the final interpolant is singular, so it "
+                  "has no tensor-train form; skipping --cores-out", file=sys.stderr)
         else:
             save_tt_cores(result.tensor, args.cores_out)
     print(f"g_max={result.g_max.bitstring} loglik={result.loglik:.10g} "
@@ -129,8 +129,7 @@ def _cmd_experiment(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     out = run_experiment(config, args.out)
     n_runs = sum(len(v) for v in out["runs"].values())
-    print(f"{n_runs} runs -> {args.out} (overflow: "
-          + ", ".join(f"tau={k}: {v}" for k, v in out["overflow"].items()) + ")")
+    print(f"{n_runs} runs -> {args.out}")
     return 0
 
 

@@ -178,34 +178,18 @@ class TemperConfig:
         object.__setattr__(self, "log_shift", shift)
 
 
-class TemperOverflowError(FloatingPointError):
-    """Tempered likelihood left double range; carries the offending network."""
-
-    def __init__(self, g, loglik: float, config: TemperConfig):
-        self.g = g
-        self.loglik = loglik
-        self.config = config
-        where = f" at g={g}" if g else ""
-        super().__init__(
-            f"exp(({loglik:.6g} - {config.log_shift:.6g}) / {config.tau:g}) "
-            f"overflows{where}; raise tau or the shift")
-
-
-def tempered_objective(loglik: float, config: TemperConfig, g=None) -> float:
+def tempered_objective(loglik: float, config: TemperConfig) -> float:
     """Map a log-likelihood to the positive optimization target.
 
-    Zero-probability networks (loglik = -inf) map to 0.  Overflow aborts
-    with TemperOverflowError rather than returning inf.
+    Zero-probability networks (loglik = -inf) map to 0.  A target beyond
+    double range raises OverflowError (from math.exp); cross_optimize
+    answers it by re-anchoring the shift.
     """
     if loglik == -math.inf:
         return 0.0
     if not math.isfinite(loglik):
         raise ValueError(f"log-likelihood must be finite or -inf, got {loglik}")
-    z = (loglik - config.log_shift) / config.tau
-    try:
-        return math.exp(z)
-    except OverflowError:
-        raise TemperOverflowError(g, loglik, config) from None
+    return math.exp((loglik - config.log_shift) / config.tau)
 
 
 class SubtensorView:
@@ -389,8 +373,9 @@ class CrossInterpolant:
         r_next = len(self.right[k + 1])
         f_left = self.fibers[k].reshape(-1, len(self.right[k]))
         # near the double-range ceiling the prediction may overflow to inf;
-        # that only marks the entry as a maximal residual, and evaluating it
-        # triggers the clean overflow abort, so silence the warning
+        # that only marks the entry as a maximal residual, and if its value
+        # overflows too, evaluating it re-anchors the run, so silence the
+        # warning
         with np.errstate(over="ignore"):
             growth = np.linalg.solve(self._cross_matrix(k),
                                      self.fibers[k + 1].reshape(len(self.left[k]), -1))
@@ -620,6 +605,7 @@ class SweepRecord:
     n_evaluations: int
     max_error: float
     g_max: tuple
+    # target value of g_max on the scale in force when the sweep ended
     value: float
     # CPU time of all of this process's threads since the optimizer started;
     # the helper process that takes half of a split solve is not counted, so
@@ -629,9 +615,9 @@ class SweepRecord:
 
 @dataclass
 class CrossResult:
-    """Outcome of cross_optimize: the best index seen, diagnostics per
-    sweep, and the final interpolant in TT form (None if the very first
-    evaluations already failed)."""
+    """Outcome of cross_optimize: the best index seen and its target value
+    on the final scale, diagnostics per sweep, and the final interpolant in
+    TT form (None if one of its cross matrices is singular)."""
 
     g_max: tuple
     value: float
@@ -653,13 +639,21 @@ def cross_optimize(objective, d: int, g0, config: CrossConfig,
     n_evaluations and the history count this run's own solves.  With tau
     None the values are maximized as they are; otherwise they are
     log-likelihoods and the target is
-    tempered_objective(objective(bits), TemperConfig(tau, objective(g0))),
-    which is exactly 1 at g0.  Sweeps alternate direction and stop on the
-    first of: residual below delta * best value ("converged"), every bond
-    capped or saturated ("rank_saturated"), a sweep admitting no pivot
-    ("stalled"), the evaluation budget ("budget"), the sweep cap
-    ("max_sweeps"), or a tempered-likelihood overflow ("overflow",
-    best-so-far still reported).
+    tempered_objective(objective(bits), TemperConfig(tau, shift)), the shift
+    starting at objective(g0), where the target is exactly 1.  Pivots do
+    not change under positive scaling, so when a tempered value overflows
+    or a cross matrix is singular, a tempered run re-anchors: the shift
+    becomes the memo's best log-likelihood and the interpolant restarts at
+    rank one from that network, keeping the rng, the budget and the count
+    of sweeps completed (a sweep cut short by a re-anchor does not count).
+    Without tau, or with no network above the shift, the error propagates.
+    Values in the result and the history are on the scale in force when
+    recorded.  Sweeps alternate direction and stop on the first of:
+    residual below delta * best value ("converged"), every bond capped or
+    saturated ("rank_saturated"), a sweep admitting no pivot ("stalled"),
+    the evaluation budget ("budget") or the sweep cap ("max_sweeps").  A
+    final interpolant with a singular cross matrix is neither exported nor
+    harvested.
     """
     memo = objective if hasattr(objective, "n_evaluations") else Memo(objective)
     g0 = tuple(int(b) for b in g0)
@@ -681,68 +675,65 @@ def cross_optimize(objective, d: int, g0, config: CrossConfig,
         temper = TemperConfig(tau=tau, log_shift=ll0)
 
         def value(bits):
-            return tempered_objective(memo(bits), temper, g=bits)
+            return tempered_objective(memo(bits), temper)
 
     def best():
         g, v = memo.argmax()
-        return g, (v if temper is None else tempered_objective(v, temper, g=g))
+        return g, (v if temper is None else tempered_objective(v, temper))
 
     def result(termination, interp):
-        tensor = interp.tensor_train() if interp is not None else None
-        ranks = interp.ranks() if interp is not None else []
-        if (tensor is not None and termination != "overflow"
-                and tensor.d <= ARGMAX_ENUM_LIMIT
+        try:
+            tensor = interp.tensor_train()
+        except np.linalg.LinAlgError:
+            tensor = None
+        if (tensor is not None and tensor.d <= ARGMAX_ENUM_LIMIT
                 and spent() < config.n_max):
             # the sweeps only ever sample crosses, so an exactly interpolated
             # objective can stall with its maximizer never evaluated; when the
             # index space is enumerable, claim the interpolant's argmax too
-            try:
-                value(tensor_argmax(tensor))
-            except TemperOverflowError as err:
-                return CrossResult(g_max=err.g, value=math.inf,
-                                   n_evaluations=spent(),
-                                   termination="overflow", history=history,
-                                   ranks=ranks, tensor=tensor)
-        try:
-            g_best, v = best()
-        except TemperOverflowError as err:
-            # the best network itself overflows the tempered scale; still
-            # report it, with an inf stand-in for the unrepresentable value
-            g_best, v = err.g, math.inf
+            value(tensor_argmax(tensor))
+        g_best, v = best()
         return CrossResult(g_max=g_best, value=v, n_evaluations=spent(),
-                           termination=termination, history=history, ranks=ranks,
-                           tensor=tensor)
+                           termination=termination, history=history,
+                           ranks=interp.ranks(), tensor=tensor)
 
-    try:
-        interp = CrossInterpolant(value, d, g0, spent)
-    except TemperOverflowError:
-        return result("overflow", None)
-
+    interp = None
     sweeps_done = 0
     while True:
-        if spent() >= config.n_max:
-            return result("budget", interp)
-        if config.max_sweeps is not None and sweeps_done >= config.max_sweeps:
-            return result("max_sweeps", interp)
-        direction = "rl" if sweeps_done % 2 else "lr"
         try:
+            if interp is None:
+                interp = CrossInterpolant(value, d, g0, spent)
+            if spent() >= config.n_max:
+                return result("budget", interp)
+            if config.max_sweeps is not None and sweeps_done >= config.max_sweeps:
+                return result("max_sweeps", interp)
+            direction = "rl" if sweeps_done % 2 else "lr"
             report = sweep(interp, direction, rng, config)
-        except TemperOverflowError:
-            return result("overflow", interp)
-        sweeps_done += 1
-        g_best, v = best()
-        history.append(SweepRecord(sweep=sweeps_done, n_evaluations=spent(),
-                                   max_error=report.max_error, g_max=g_best,
-                                   value=v,
-                                   cpu_seconds=time.process_time() - t0))
-        if report.budget_exhausted or spent() >= config.n_max:
-            return result("budget", interp)
-        if not report.bond_errors:
-            return result("rank_saturated", interp)
-        if report.max_error <= config.delta * v:
-            return result("converged", interp)
-        if all(interp.rank(k) >= config.r_max or interp.bond_saturated(k)
-               for k in range(1, d)):
-            return result("rank_saturated", interp)
-        if report.pivots_added == 0:
-            return result("stalled", interp)
+            # count the sweep once its best value is on scale, so a sweep
+            # that ends in a re-anchor leaves no gap in the history
+            g_best, v = best()
+            sweeps_done += 1
+            history.append(SweepRecord(sweep=sweeps_done, n_evaluations=spent(),
+                                       max_error=report.max_error, g_max=g_best,
+                                       value=v,
+                                       cpu_seconds=time.process_time() - t0))
+            if report.budget_exhausted or spent() >= config.n_max:
+                return result("budget", interp)
+            if not report.bond_errors:
+                return result("rank_saturated", interp)
+            if report.max_error <= config.delta * v:
+                return result("converged", interp)
+            if all(interp.rank(k) >= config.r_max or interp.bond_saturated(k)
+                   for k in range(1, d)):
+                return result("rank_saturated", interp)
+            if report.pivots_added == 0:
+                return result("stalled", interp)
+        except (OverflowError, np.linalg.LinAlgError):
+            if temper is None:
+                raise
+            g0, ll_best = memo.argmax()
+            if not ll_best > temper.log_shift:
+                raise
+            # re-anchor: restart from the best network, whose target is 1
+            temper = TemperConfig(tau=tau, log_shift=ll_best)
+            interp = None

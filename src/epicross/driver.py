@@ -157,9 +157,9 @@ def run_inference(data: Trajectory, params: EpidemicParams, tau: float,
     """Infer the network behind one trajectory by tempered cross maximization.
 
     The optimizer shifts the log-likelihood by its value at the initial
-    network, so it starts from an objective value of exactly one.  Overflow
-    of the tempered objective ends the run with termination "overflow" and
-    the best network seen so far.  A shared `cache` (a likelihood_memo)
+    network, so it starts from an objective value of exactly one, and
+    moves the shift to the best network seen if the tempered objective
+    leaves double range.  A shared `cache` (a likelihood_memo)
     serves lookups across runs; n_eval and cache_hits count this run's own.
     """
     g0 = _resolve_init(init, data)
@@ -270,15 +270,14 @@ def summarize_runs(runs_by_tau: dict[float, list[RunResult]],
                    n_pairs: int) -> list[dict]:
     """Per-temperature averages along the sweep axis.
 
-    Runs ending in overflow are excluded.  A run that terminated before
-    sweep s contributes its final record to checkpoint s, so curves stay
-    flat after termination.  Errors are relative (links / n_pairs);
+    Runs without a sweep record are excluded.  A run that terminated
+    before sweep s contributes its final record to checkpoint s, so curves
+    stay flat after termination.  Errors are relative (links / n_pairs);
     err_std is the population standard deviation.
     """
     rows = []
     for tau, runs in runs_by_tau.items():
-        completed = [r for r in runs if r.termination != "overflow"]
-        completed = [r for r in completed if r.history]
+        completed = [r for r in runs if r.history]
         if not completed:
             continue
         if any(rec["link_error"] is None for r in completed for rec in r.history):
@@ -311,7 +310,7 @@ def write_summary(rows: list[dict], path) -> None:
 def _error_histogram(runs: list[RunResult]) -> list[tuple[int, int]]:
     counts: dict[int, int] = {}
     for r in runs:
-        if r.termination == "overflow" or r.link_error is None:
+        if r.link_error is None:
             continue
         counts[r.link_error] = counts.get(r.link_error, 0) + 1
     return sorted(counts.items())
@@ -322,8 +321,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
 
     Writes data/ (trajectories), runs/ (per-run JSON), hist_tau*.csv
     (final-error histograms), summary.csv and experiment.json under
-    out_dir.  Returns the in-memory runs, summary rows and overflow
-    counts.
+    out_dir.  Returns the in-memory runs and summary rows.
     """
     out = Path(out_dir)
     (out / "data").mkdir(parents=True, exist_ok=True)
@@ -355,8 +353,6 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
             })
     summary = summarize_runs(runs_by_tau, g_star.n_pairs)
     write_summary(summary, out / "summary.csv")
-    overflow = {f"{tau:g}": sum(1 for r in runs if r.termination == "overflow")
-                for tau, runs in runs_by_tau.items()}
     for tau, runs in runs_by_tau.items():
         hist = _error_histogram(runs)
         with open(out / f"hist_tau{tau:g}.csv", "w") as fh:
@@ -368,8 +364,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
             "config": config.to_json_dict(),
             "truth": g_star.bitstring,
             "runs": manifest,
-            "overflow": overflow,
             "wall_seconds": time.perf_counter() - t_start,
         }, fh, indent=2)
         fh.write("\n")
-    return {"runs": runs_by_tau, "summary": summary, "overflow": overflow}
+    return {"runs": runs_by_tau, "summary": summary}

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,13 +155,51 @@ def test_infer_init_file(tmp_path, data4):
 
 
 def test_infer_overflow_run(tmp_path, data4, capsys):
-    data, _ = data4
+    # at tau 1e-4 the tempered likelihood overflows; the run re-anchors
+    # and ends on the exhaustive optimum
+    data, traj = data4
     out = tmp_path / "res.json"
     rc = main(["infer", "--data", str(data), *PARAMS, "--tau", "1e-4",
                "--init", "zero", "--budget", "1000", "--sweeps", "4",
                "--out", str(out)])
     assert rc == 0
-    assert json.loads(out.read_text())["termination"] == "overflow"
+    payload = json.loads(out.read_text())
+    g_brute, ll_brute = brute_force_mle(traj, EP)
+    assert payload["g_max"] == g_brute.bitstring
+    assert payload["loglik"] == ll_brute
+
+
+def test_cores_out_skipped_on_singular_cross_matrix(tmp_path, capsys):
+    # this run's final interpolant has an exactly singular cross matrix
+    traj = ssa_simulate(chain_network(4), EP, 0.1, 50.0,
+                        NetworkState((1, 0, 0, 0)), seed=9)
+    data = tmp_path / "ds.csv"
+    write_trajectory(traj, data)
+    out, cores_out = tmp_path / "res.json", tmp_path / "cores.txt"
+    rc = main(["infer", "--data", str(data), *PARAMS, "--tau", "0.01",
+               "--rank-max", "3", "--budget", "1000", "--seed", "10",
+               "--sweeps", "4", "--cores-out", str(cores_out), "--out", str(out)])
+    assert rc == 0
+    assert "skipping --cores-out" in capsys.readouterr().err
+    assert not cores_out.exists()
+    assert json.loads(out.read_text())["g_max"] == brute_force_mle(traj, EP)[0].bitstring
+
+
+def test_readme_quick_start(tmp_path, capsys, monkeypatch):
+    # the README's simulate + infer example prints the line it shows
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    expected = re.search(r"^# (g_max=.*)$", readme, re.MULTILINE).group(1)
+    monkeypatch.chdir(tmp_path)
+    write_network(chain_network(4), "chain4.txt")
+    assert main(["simulate", "--network", "chain4.txt", *PARAMS,
+                 "--dt", "0.1", "--tmax", "50", "--seed", "0",
+                 "--out", "traj.csv"]) == 0
+    capsys.readouterr()
+    assert main(["infer", "--data", "traj.csv", *PARAMS,
+                 "--tau", "1", "--rank-max", "4", "--sweeps", "4",
+                 "--seed", "1000000", "--truth", "chain4.txt",
+                 "--out", "result.json"]) == 0
+    assert capsys.readouterr().out.strip() == expected
 
 
 def test_experiment_end_to_end(tmp_path, capsys):

@@ -524,7 +524,9 @@ class TestCrossOptimize:
     def test_each_index_solved_at_most_once(self):
         # however often crossing fibers ask for an entry, the function
         # behind the memo is solved once per index, within a run and across
-        # runs sharing one memo, and the counters count exactly those solves
+        # runs sharing one memo, and the counters count exactly those solves;
+        # at tau 1e-3 the logs (spread over 2.3) overflow, so the third run
+        # on a shared memo re-anchors
         rng = np.random.default_rng(75)
         for trial in range(40):
             d = int(rng.integers(2, 9))
@@ -545,7 +547,7 @@ class TestCrossOptimize:
             else:
                 memo = Memo(f)
                 runs = [cross_optimize(memo, d, g0, cfg, tau=tau).n_evaluations
-                        for tau in (1.0, float(rng.choice([0.5, 10.0])))]
+                        for tau in (1.0, float(rng.choice([0.5, 10.0])), 1e-3)]
                 assert sum(runs) == memo.n_evaluations
             assert max(calls.values()) == 1
             assert sum(calls.values()) == sum(runs)
@@ -567,15 +569,39 @@ class TestCrossOptimize:
             assert tempered.n_evaluations == plain.n_evaluations
             assert tempered.termination == plain.termination
 
-    def test_tempered_overflow_ends_the_run(self):
-        # exp(800) leaves double range: the run stops, still reporting the
-        # offending index as its best
+    def test_tempered_overflow_reanchors(self):
+        # every flipped bit gains exp(800), beyond double range: each
+        # overflow moves the shift to the best network found, and the run
+        # climbs to the maximum, reported on the final scale
         logs = {bits: 800.0 * sum(bits) for bits in all_bits(3)}
         res = cross_optimize(logs.__getitem__, 3, (0, 0, 0),
                              CrossConfig(r_max=2, n_max=100, seed=0), tau=1.0)
-        assert res.termination == "overflow"
-        assert res.value == math.inf
-        assert sum(res.g_max) == 1
+        assert res.g_max == (1, 1, 1)
+        assert res.value == 1.0
+        assert res.n_evaluations == 8
+        assert res.history[-1].g_max == (1, 1, 1)
+        # a shared memo already holding a network 1000 nats up: the first
+        # sweep's best value overflows and re-anchors, the history has no gap
+        top = (1,) * 6
+        memo = Memo(lambda bits: 1000.0 if bits == top else -float(sum(bits)))
+        memo(top)
+        res = cross_optimize(memo, 6, (0,) * 6,
+                             CrossConfig(r_max=2, n_max=500, seed=0, max_sweeps=3),
+                             tau=1.0)
+        assert res.g_max == top
+        assert [rec.sweep for rec in res.history] == list(range(1, len(res.history) + 1))
+
+    @pytest.mark.parametrize("tau", [None, 1.0])
+    def test_overflow_without_a_better_network_propagates(self, tau):
+        # re-anchoring needs a tempered run and a network above the shift;
+        # g0 is the best network solved here, so the error is not swallowed
+        def f(bits):
+            if sum(bits) == 2:
+                raise OverflowError("objective overflow")
+            return -float(sum(bits)) if tau else math.exp(-sum(bits))
+
+        with pytest.raises(OverflowError):
+            cross_optimize(f, 3, (0, 0, 0), CrossConfig(r_max=2, n_max=100), tau=tau)
 
     def test_zero_likelihood_start_raises(self):
         with pytest.raises(ValueError):
