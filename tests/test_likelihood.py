@@ -182,11 +182,15 @@ class TestTempering:
     def test_zero_likelihood_maps_to_zero(self):
         assert tempered_objective(-math.inf, TemperConfig(tau=1.0)) == 0.0
 
-    def test_tau_controls_overflow_onset(self):
+    def test_overflow_aborts_with_payload(self):
         # exp(800) leaves double range and raises; cross_optimize re-anchors
-        # on that error, so it must not come back as inf
+        # on that error, so it must not come back as inf.  The loglik is all
+        # the re-anchor needs: shifted onto it, the same entry is exactly 1
         with pytest.raises(OverflowError):
-            tempered_objective(800.0, TemperConfig(1.0))
+            tempered_objective(800.0, TemperConfig(tau=1.0, log_shift=0.0))
+        assert tempered_objective(800.0, TemperConfig(tau=1.0, log_shift=800.0)) == 1.0
+
+    def test_tau_controls_overflow_onset(self):
         cfg10 = TemperConfig(tau=10.0, log_shift=0.0)
         assert tempered_objective(800.0, cfg10) == pytest.approx(math.exp(80.0))
 
