@@ -286,17 +286,24 @@ def matrix_cross_step(view: SubtensorView, row_set, col_set, rng,
         if out_of_budget():
             break
         col = [abs(view.residual(i, j_star)) for i in free_rows]
-        i_star = free_rows[int(np.argmax(col))]
+        i_star = free_rows[_argmax(col)]
         if out_of_budget():
             break
         row = [abs(view.residual(i_star, j)) for j in free_cols]
-        j_new = free_cols[int(np.argmax(row))]
+        j_new = free_cols[_argmax(row)]
         if j_new == j_star:
             converged = True
             break
         j_star = j_new
     max_error = abs(view.residual(i_star, j_star))
     return RookResult((i_star, j_star), max_error, view.n_evaluations - ev0, converged)
+
+
+def _argmax(values) -> int:
+    """Position of the first largest value, NaN ranking below every number
+    (inf * 0 in a prediction gives NaN residuals, which measure nothing)."""
+    a = np.asarray(values)
+    return int(np.argmax(np.where(np.isnan(a), -np.inf, a)))
 
 
 class CrossInterpolant:
@@ -559,8 +566,9 @@ def sweep(interp: CrossInterpolant, direction: str, rng, config: CrossConfig) ->
     r_max are skipped and excluded from the error report; searched bonds
     without a pivot record an error of zero.  Pivots whose residual falls
     below the noise floor of their own entry are searched but not
-    admitted.  The pass stops early when the evaluation budget is
-    exhausted.
+    admitted, and a NaN residual (inf * 0 in the prediction) is never
+    admitted and records no error.  The pass stops early when the
+    evaluation budget is exhausted.
     """
     if direction not in ("lr", "rl"):
         raise ValueError(f"direction must be 'lr' or 'rl', got {direction!r}")
@@ -584,11 +592,12 @@ def sweep(interp: CrossInterpolant, direction: str, rng, config: CrossConfig) ->
         if step.pivot is None:
             errors[k] = 0.0
             continue
-        errors[k] = step.max_error
+        if not math.isnan(step.max_error):
+            errors[k] = step.max_error
         # residuals below the pivot's own floating-point scale are
         # cancellation noise; admitting them buys nothing and risks a
         # singular cross matrix
-        if step.max_error <= PIVOT_RTOL * view.scale(*step.pivot):
+        if not step.max_error > PIVOT_RTOL * view.scale(*step.pivot):
             continue
         interp.admit(k, *step.pivot)
         added += 1
@@ -719,9 +728,11 @@ def cross_optimize(objective, d: int, g0, config: CrossConfig,
                                        cpu_seconds=time.process_time() - t0))
             if report.budget_exhausted or spent() >= config.n_max:
                 return result("budget", interp)
-            if not report.bond_errors:
+            if report.bonds_skipped == interp.d - 1:
                 return result("rank_saturated", interp)
-            if report.max_error <= config.delta * v:
+            # bonds with a NaN residual record no error; a sweep of only
+            # those has not converged
+            if report.bond_errors and report.max_error <= config.delta * v:
                 return result("converged", interp)
             if all(interp.rank(k) >= config.r_max or interp.bond_saturated(k)
                    for k in range(1, d)):

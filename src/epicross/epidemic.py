@@ -8,10 +8,12 @@ sits in the least significant bit.
 
 Transition probabilities come from one routine, transition_columns: the
 uniformized columns of exp(Q dt) for chosen source states, with a checked
-relative error bound on the entries the caller names.  A large block of
-columns is split between the caller and one helper process, with the same
-bytes as the serial series.  The dense transition_matrix is a reference
-oracle for small systems.
+relative error bound on the entries the caller names.  A solve builds no
+scipy matrix: the generator is a value vector on a sparsity pattern shared
+by every network of N nodes, and each series term is scipy's CSC kernel
+run into reused buffers.  A large block of columns is split between the
+caller and one helper process, with the same bytes as the serial series.
+The dense transition_matrix is a reference oracle for small systems.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 
 class CapacityError(RuntimeError):
@@ -203,21 +206,32 @@ class NetworkState:
         return cls(tuple((idx >> i) & 1 for i in range(n_nodes)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateMatrix:
     """Infinitesimal generator of the epidemic CTMC, column convention:
-    q[y, x] is the rate of jumping from state x to state y.  `diag` holds
-    the positions of the diagonal entries q[x, x] in q.data, by column."""
+    q[y, x] is the rate of jumping from state x to state y.
+
+    `data` holds the CSC values on the sparsity pattern that every
+    generator of `dim` states shares (_generator_pattern), `diag` the
+    positions of the diagonal entries q[x, x] in it.  The scipy matrix `q`
+    is built on first use; the likelihood never asks for it.  Generators
+    compare by identity.
+    """
 
     dim: int
-    q: sparse.csc_array
+    data: np.ndarray
     diag: np.ndarray
+
+    @functools.cached_property
+    def q(self) -> sparse.csc_array:
+        _, indices, indptr, _, _ = _generator_pattern(self.dim.bit_length() - 1)
+        return sparse.csc_array((self.data, indices, indptr), shape=(self.dim, self.dim))
 
     def dense(self) -> np.ndarray:
         return self.q.toarray()
 
     def exit_rates(self) -> np.ndarray:
-        return -self.q.data[self.diag]
+        return -self.data[self.diag]
 
 
 @functools.cache
@@ -254,18 +268,18 @@ def build_generator(g: AdjacencyVector, params: EpidemicParams) -> RateMatrix:
     its infected neighbours; an infected node flips down at rate gamma.
     Columns sum to zero.  The sparsity pattern (every single-flip entry and
     the diagonal, zero rates stored explicitly) is built once per N and
-    shared; per network only the data vector is filled.
+    shared; per network only the value vector is filled, and no scipy
+    matrix is built.
     """
     n = g.n_nodes
     dim = 1 << n
-    bits, indices, indptr, diag, gather = _generator_pattern(n)
+    bits, _, _, diag, gather = _generator_pattern(n)
     n_inf = bits @ unpack_adjacency(g)
     flip_rate = np.where(bits == 0, n_inf * params.beta + params.eps, params.gamma)
     full = np.empty((dim, n + 1))
     full[:, :n] = flip_rate
     full[:, n] = -flip_rate.sum(axis=1)
-    q = sparse.csc_array((full.ravel()[gather], indices, indptr), shape=(dim, dim))
-    return RateMatrix(dim=dim, q=q, diag=diag)
+    return RateMatrix(dim=dim, data=full.ravel()[gather], diag=diag)
 
 
 @dataclass(frozen=True)
@@ -345,12 +359,17 @@ def transition_columns(rate: RateMatrix, dt: float, cols,
 
 
 class _Series(NamedTuple):
-    """What every block of columns of one transition_columns call shares."""
+    """What every block of columns of one transition_columns call shares:
+    the jump chain P = I + Q/lam as plain CSC arrays (values on the shared
+    pattern of Q), so a block pickles to the helper as arrays, and the
+    Poisson schedule."""
 
-    jump: sparse.csc_array  # P = I + Q/lam
-    mu: float               # Poisson mean of one substep
-    n_sub: int              # substeps
-    min_terms: int          # terms after which a zero named entry is structural
+    indptr: np.ndarray   # CSC column pointers of P, the pattern of Q
+    indices: np.ndarray  # CSC row indices of P
+    data: np.ndarray     # values of P
+    mu: float            # Poisson mean of one substep
+    n_sub: int           # substeps
+    min_terms: int       # terms after which a zero named entry is structural
 
 
 def _prepare(rate: RateMatrix, dt: float, cols) -> tuple[np.ndarray, _Series | None]:
@@ -368,10 +387,11 @@ def _prepare(rate: RateMatrix, dt: float, cols) -> tuple[np.ndarray, _Series | N
     n_sub = max(1, math.ceil(lam * dt / 200.0))  # exp(-mu) far from underflow
     # P = I + Q/lam, entrywise >= 0, on the pattern of Q; scaled by the
     # reciprocal as scipy's q / lam is, so the entries match it bit for bit
-    data = rate.q.data * (1.0 / lam)
+    data = rate.data * (1.0 / lam)
     data[rate.diag] += 1.0
-    jump = sparse.csc_array((data, rate.q.indices, rate.q.indptr), shape=rate.q.shape)
-    return cols, _Series(jump, lam * dt / n_sub, n_sub, 2 * (rate.dim.bit_length() - 1))
+    n = rate.dim.bit_length() - 1
+    _, indices, indptr, _, _ = _generator_pattern(n)
+    return cols, _Series(indptr, indices, data, lam * dt / n_sub, n_sub, 2 * n)
 
 
 def _indicators(dim: int, cols: np.ndarray) -> np.ndarray:
@@ -390,16 +410,28 @@ def _block(series: _Series, cols: np.ndarray, entries,
     where this block's test holds, `agree(j)` returns the index to stop at
     instead (j itself without `agree`).  Returns the sums and whether the
     test holds at the index stopped at.
+
+    Each term is written by scipy's private CSC kernel
+    `_sparsetools.csc_matvecs` into one of two reused, zero-filled buffers
+    and weighted in one scratch buffer, so no array is allocated per term.
+    The kernel is the one `csc_array @` calls (csc_matvec for one column
+    does the same arithmetic), so the bytes are those of `jump @ term`;
+    test_columns_bit_identical_to_scipy_jump_matrix pins them.
     """
-    jump, mu, n_sub, min_terms = series
-    v = _indicators(jump.shape[0], cols)
+    indptr, indices, data, mu, n_sub, min_terms = series
+    dim = indptr.size - 1
+    v = _indicators(dim, cols)
+    # the two alternating terms and the weighted-term scratch, flat
+    bufs = (np.empty(v.size), np.empty(v.size))
+    scratch = np.empty(v.size)
     lost = 0.0  # neglected mass of the finished substeps
     terms = 0   # jumps applied so far, over all substeps
     for s in range(n_sub):
         last = s == n_sub - 1
         w = math.exp(-mu)
-        term = v
+        term = v.reshape(-1)
         acc = w * v
+        flat_acc = acc.reshape(-1)
         stop = None  # the agreed stopping index of the last substep
         for j in range(MAX_TERMS + 1):
             # bound on sum_{i > j} w_i; the ratios w_{i+1}/w_i fall below
@@ -427,9 +459,13 @@ def _block(series: _Series, cols: np.ndarray, entries,
                 raise ArithmeticError(
                     f"uniformization missed relative accuracy {RTOL:g} within "
                     f"{MAX_TERMS} terms (Poisson mean {mu:.6g})")
-            term = jump @ term
+            nxt = bufs[j & 1]
+            nxt.fill(0.0)  # the kernel adds P @ term into it
+            _sparsetools.csc_matvecs(dim, dim, cols.size, indptr, indices, data, term, nxt)
+            term = nxt
             w = w_next
-            acc += w * term
+            np.multiply(term, w, out=scratch)
+            flat_acc += scratch
         lost += tail
         terms += j
         v = acc

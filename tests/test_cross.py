@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 import epicross
+from epicross import cross
 from epicross.cross import (
     CrossConfig,
     CrossInterpolant,
     Memo,
+    RookResult,
     SubtensorView,
     TensorTrain,
     cross_optimize,
@@ -325,6 +327,17 @@ class TestMatrixCrossStep:
                                 eval_budget=0)
         assert res.pivot is None and res.evals_used == 0
 
+    def test_nan_residuals_never_pivot(self):
+        # inf * 0 in a prediction gives NaN residuals; they rank below every
+        # number, so the rook settles on the largest real residual
+        m = np.outer([1.0, 2.0, 4.0, 3.0], [1.0, 2.0, 3.0, 4.0])
+        approx = np.zeros_like(m)
+        approx[0, :] = np.nan
+        for seed in range(20):
+            view = SubtensorView.from_matrix(m, approx)
+            res = matrix_cross_step(view, set(), set(), np.random.default_rng(seed))
+            assert res.pivot == (2, 3) and res.max_error == 16.0
+
     def test_probe_count(self):
         # min(M, N) probes from the free grid; every probe costs one entry
         m = np.eye(6) + 0.1
@@ -416,6 +429,21 @@ class TestCrossInterpolant:
         tt = interp.tensor_train()
         for bits in all_bits(4):
             assert tt.eval(bits) == pytest.approx(f(bits), abs=1e-9)
+
+    def test_nan_residual_not_admitted(self, monkeypatch):
+        # a rook result with a NaN residual is searched, but never admitted
+        # and recorded as no error; a sweep of only such bonds stalls
+        rng = np.random.default_rng(43)
+        f, _ = random_tensor_fn(rng, 4)
+        fc = Memo(f)
+        interp = CrossInterpolant(fc, 4, (0, 0, 0, 0))
+        monkeypatch.setattr(cross, "matrix_cross_step",
+                            lambda *a, **k: RookResult((1, 1), math.nan, 0, False))
+        report = sweep(interp, "lr", np.random.default_rng(0), CrossConfig(r_max=3))
+        assert report.pivots_added == 0 and report.bond_errors == {}
+        assert interp.ranks() == [1] * 5
+        res = cross_optimize(fc, 4, (0, 0, 0, 0), CrossConfig(r_max=3))
+        assert res.termination == "stalled" and len(res.history) == 1
 
     def test_admit_rejects_used_indices(self):
         rng = np.random.default_rng(41)

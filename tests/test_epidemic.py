@@ -273,6 +273,20 @@ class TestGenerator:
         other = build_generator(chain_network(3), p).dense()
         assert np.array_equal(other, coo_generator(chain_network(3), p))
 
+    def test_equality_is_identity(self):
+        p = EpidemicParams(beta=1.0, gamma=0.5, eps=0.01)
+        a = build_generator(chain_network(3), p)
+        b = build_generator(chain_network(3), p)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+    def test_scipy_matrix_built_on_first_use(self):
+        p = EpidemicParams(beta=1.0, gamma=0.5, eps=0.01)
+        rate = build_generator(chain_network(4), p)
+        assert "q" not in vars(rate)
+        assert rate.q is rate.q
+        assert np.array_equal(rate.dense(), coo_generator(chain_network(4), p))
+
 
 class TestTransitionMatrix:
     def test_stochastic_columns(self):

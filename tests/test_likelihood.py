@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from epicross import epidemic
 from epicross.epidemic import (
     AdjacencyVector,
     EpidemicParams,
@@ -171,6 +172,33 @@ class TestLogLikelihood:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             log_likelihood(chain_network(3), REF_DATA, REF_PARAMS)
+
+    def test_solve_builds_no_scipy_matrix(self, monkeypatch):
+        # a solve fills plain arrays and calls the sparse kernel on them; the
+        # 9-node trajectory's 92 source states take the split path
+        small = ssa_simulate(chain_network(4), REF_PARAMS, 0.1, 20.0,
+                             NetworkState((1, 0, 0, 0)), seed=4)
+        big = ssa_simulate(chain_network(9), EpidemicParams(1.0, 0.5, 0.2), 0.1, 30.0,
+                           NetworkState((1,) + (0,) * 8), seed=1)
+        monkeypatch.setattr(epidemic, "_cpus", lambda: 1)
+        serial = log_likelihood(chain_network(9), big, REF_PARAMS)
+
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("a likelihood solve built a scipy matrix")
+
+        splits = []
+        split_block = epidemic._split_block
+
+        def spy(*args):
+            splits.append(split_block(*args))
+            return splits[-1]
+
+        monkeypatch.setattr(epidemic.sparse, "csc_array", no_matrix)
+        monkeypatch.setattr(epidemic, "_split_block", spy)
+        monkeypatch.setattr(epidemic, "_cpus", lambda: 2)
+        assert math.isfinite(log_likelihood(chain_network(4), small, REF_PARAMS))
+        assert log_likelihood(chain_network(9), big, REF_PARAMS) == serial
+        assert splits and all(s is not None for s in splits)
 
 
 class TestTempering:
