@@ -398,12 +398,6 @@ class CrossInterpolant:
         col_set = {q[0] * r_next + self.right_pos[k + 1][q[1:]] for q in self.right[k]}
         return view, row_set, col_set
 
-    def bond_index(self, k: int, i: int, j: int) -> tuple:
-        """Full index addressed by entry (i, j) of bond k's view."""
-        r_next = len(self.right[k + 1])
-        return (self.left[k - 1][i // 2] + (i % 2,)
-                + (j // r_next,) + self.right[k + 1][j % r_next])
-
     def admit(self, k: int, i: int, j: int) -> None:
         """Grow bond k by the pivot at view entry (i, j).
 

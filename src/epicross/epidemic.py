@@ -14,6 +14,10 @@ by every network of N nodes, and each series term is scipy's CSC kernel
 run into reused buffers.  A large block of columns is split between the
 caller and one helper process, with the same bytes as the serial series.
 The dense transition_matrix is a reference oracle for small systems.
+
+Importing this module loads numpy, the top-level scipy package and one
+compiled module of scipy.sparse, its CSC kernels (_load_sparsetools), but
+not the scipy.sparse package, which RateMatrix.q imports on first use.
 """
 
 from __future__ import annotations
@@ -21,16 +25,46 @@ from __future__ import annotations
 import atexit
 import contextlib
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import os
 import signal
+import sys
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import _sparsetools
+import scipy
+
+
+def _load_sparsetools():
+    """scipy.sparse._sparsetools, the compiled CSC kernels, loaded from its
+    file without importing the scipy.sparse package, which costs a quarter
+    of a second and some 20 MB (its array-API shim loads numpy.testing,
+    numpy.f2py, numpy.random and numpy.ma).  scipy itself is imported, as
+    its __init__ sets up the bundled shared libraries on some platforms.
+    Registered in sys.modules, the one module object serves scipy.sparse
+    too, imported before or after; it is reachable by import but is no
+    attribute of the scipy.sparse package.  Without the file, the ordinary
+    import runs.
+    """
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(scipy.__path__[0], "sparse")])
+    if spec is None:
+        from scipy.sparse import _sparsetools
+        return _sparsetools
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_sparsetools = _load_sparsetools()
 
 
 class CapacityError(RuntimeError):
@@ -214,8 +248,8 @@ class RateMatrix:
     `data` holds the CSC values on the sparsity pattern that every
     generator of `dim` states shares (_generator_pattern), `diag` the
     positions of the diagonal entries q[x, x] in it.  The scipy matrix `q`
-    is built on first use; the likelihood never asks for it.  Generators
-    compare by identity.
+    is built on first use, which imports scipy.sparse; the likelihood never
+    asks for it, only the dense oracle does.  Generators compare by identity.
     """
 
     dim: int
@@ -223,9 +257,11 @@ class RateMatrix:
     diag: np.ndarray
 
     @functools.cached_property
-    def q(self) -> sparse.csc_array:
+    def q(self) -> scipy.sparse.csc_array:
+        from scipy.sparse import csc_array
+
         _, indices, indptr, _, _ = _generator_pattern(self.dim.bit_length() - 1)
-        return sparse.csc_array((self.data, indices, indptr), shape=(self.dim, self.dim))
+        return csc_array((self.data, indices, indptr), shape=(self.dim, self.dim))
 
     def dense(self) -> np.ndarray:
         return self.q.toarray()

@@ -456,16 +456,31 @@ class TestCrossInterpolant:
 
 
 def test_import_leaves_scipy_linalg_unloaded():
-    # cross matrices are solved with numpy, and the dense oracle imports expm
-    # when called, so importing the package loads only numpy and scipy.sparse
-    script = ("import sys, epicross; "
-              "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
+    # cross matrices are solved with numpy, the dense oracle imports expm
+    # and RateMatrix.q scipy.sparse when called, and the likelihood's CSC
+    # kernel module is loaded on its own: neither importing the package nor
+    # a likelihood solve loads scipy.linalg or the scipy.sparse package
+    script = """
+import sys
+import epicross
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.startswith(("scipy.linalg", "scipy.sparse")))
+
+print(loaded())
+traj = epicross.Trajectory([0.0, 0.1, 0.2], [[1, 0, 0], [1, 1, 0], [0, 1, 1]])
+params = epicross.EpidemicParams(1.0, 0.5, 0.1)
+print(epicross.log_likelihood(epicross.chain_network(3), traj, params) < 0.0)
+print(loaded())
+"""
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(epicross.__file__)))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    kernel = "['scipy.sparse._sparsetools']"
+    assert proc.stdout.split("\n") == [kernel, "True", kernel, ""]
 
 
 class TestCrossOptimize:

@@ -524,6 +524,68 @@ print(epidemic._helper is None, hashlib.sha256(out.tobytes()).hexdigest())
         assert proc.stdout.split() == ["True", hashlib.sha256(split.tobytes()).hexdigest()]
 
 
+# How a child interpreter imports epicross: after scipy.sparse, before it,
+# and with the kernel module's file not found, so the ordinary import runs.
+IMPORT_ORDERS = {
+    "sparse_first": """
+import sys
+import scipy.sparse
+kernel = sys.modules["scipy.sparse._sparsetools"]
+from epicross import epidemic
+assert epidemic._sparsetools is kernel
+""",
+    "epicross_first": """
+import sys
+from epicross import epidemic
+assert "scipy.sparse" not in sys.modules
+""",
+    "no_spec": """
+import importlib.machinery, os, sys
+find_spec = importlib.machinery.PathFinder.find_spec
+missed = []
+
+def first_misses(name, path=None, target=None):
+    if name == "scipy.sparse._sparsetools" and not missed:
+        missed.append(path)
+        return None
+    return find_spec(name, path, target)
+
+importlib.machinery.PathFinder.find_spec = staticmethod(first_misses)
+import scipy
+from epicross import epidemic
+assert missed == [[os.path.join(scipy.__path__[0], "sparse")]]
+assert "scipy.sparse" in sys.modules
+""",
+}
+
+
+@pytest.mark.parametrize("order", sorted(IMPORT_ORDERS))
+def test_kernel_module_shared_with_scipy_sparse(order):
+    # one module object serves epicross and scipy.sparse, whichever is
+    # imported first, and scipy.sparse works alongside it
+    script = IMPORT_ORDERS[order] + """
+import numpy as np
+import scipy.sparse
+from scipy.sparse import _sparsetools
+from scipy.sparse.linalg import spsolve
+from epicross.epidemic import (EpidemicParams, build_generator, chain_network,
+                               transition_columns, transition_matrix)
+assert epidemic._sparsetools is _sparsetools is sys.modules["scipy.sparse._sparsetools"]
+a = scipy.sparse.csc_array(np.array([[2.0, 1.0], [0.0, 4.0]]))
+assert (a @ np.ones(2)).tolist() == [3.0, 4.0]
+assert np.allclose(spsolve(a, np.array([3.0, 4.0])), [1.0, 1.0])
+rate = build_generator(chain_network(3), EpidemicParams(1.0, 0.5, 0.1))
+assert isinstance(rate.q, scipy.sparse.csc_array)
+probs = transition_matrix(rate, 0.4).probs
+got = transition_columns(rate, 0.4, [0, 5])
+assert np.allclose(got, probs[:, [0, 5]], rtol=0.0, atol=1e-12)
+print("ok")
+"""
+    proc = run_child(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]
+
+
 class TestTrajectory:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.integrate import solve_ivp
 
 from epicross import epidemic
@@ -193,7 +194,7 @@ class TestLogLikelihood:
             splits.append(split_block(*args))
             return splits[-1]
 
-        monkeypatch.setattr(epidemic.sparse, "csc_array", no_matrix)
+        monkeypatch.setattr(scipy.sparse, "csc_array", no_matrix)
         monkeypatch.setattr(epidemic, "_split_block", spy)
         monkeypatch.setattr(epidemic, "_cpus", lambda: 2)
         assert math.isfinite(log_likelihood(chain_network(4), small, REF_PARAMS))
