@@ -6,7 +6,6 @@ from .epidemic import (
     NetworkState,
     RateMatrix,
     Trajectory,
-    TransitionMatrix,
     build_generator,
     chain_network,
     network_error,
@@ -15,7 +14,6 @@ from .epidemic import (
     read_trajectory,
     ssa_simulate,
     transition_columns,
-    transition_matrix,
     unpack_adjacency,
     write_network,
     write_trajectory,

@@ -46,10 +46,9 @@ def _write_json(payload: dict, path: str) -> None:
 def _cmd_simulate(args) -> int:
     g = read_network(args.network)
     if args.x0 is not None:
-        bits = tuple(int(c) for c in args.x0)
-        if len(bits) != g.n_nodes or any(b not in (0, 1) for b in bits):
+        if len(args.x0) != g.n_nodes or set(args.x0) - {"0", "1"}:
             raise SystemExit(f"--x0 must be a 01-string of length {g.n_nodes}")
-        x0 = NetworkState(bits)
+        x0 = NetworkState(tuple(int(c) for c in args.x0))
     else:
         x0 = NetworkState((1,) + (0,) * (g.n_nodes - 1))
     traj = ssa_simulate(g, _params(args), args.dt, args.tmax, x0, seed=args.seed)

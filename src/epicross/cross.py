@@ -38,10 +38,11 @@ PIVOT_RTOL = 1e-14
 class CrossConfig:
     """Knobs of the greedy cross optimizer.
 
-    r_max bounds every bond rank; n_max bounds objective evaluations;
-    delta stops once the largest sweep residual drops below delta times
-    the best value seen; rook_max_iters bounds the alternating row/column
-    maximization; max_sweeps, when set, bounds the number of sweeps.
+    r_max bounds every bond rank; n_max budgets objective evaluations, a
+    few of which may run past it (see cross_optimize); delta stops once the
+    largest sweep residual drops below delta times the best value seen;
+    rook_max_iters bounds the alternating row/column maximization;
+    max_sweeps, when set, bounds the number of sweeps.
     """
 
     r_max: int = 10
@@ -482,14 +483,15 @@ class TensorTrain:
         return float(v[0, 0])
 
 
-def tensor_argmax(tt: TensorTrain, limit: int = 20) -> tuple[int, ...]:
+def tensor_argmax(tt: TensorTrain) -> tuple[int, ...]:
     """Exact argmax index of the materialized tensor.
 
     Enumerates all 2^d entries by blockwise contraction (d is capped at
-    `limit` to bound time and memory); ties go to the lexicographically
-    smallest index."""
-    if tt.d > limit:
-        raise ValueError(f"{tt.d} modes exceed the enumeration limit {limit}")
+    ARGMAX_ENUM_LIMIT to bound time and memory); ties go to the
+    lexicographically smallest index."""
+    if tt.d > ARGMAX_ENUM_LIMIT:
+        raise ValueError(
+            f"{tt.d} modes exceed the enumeration limit {ARGMAX_ENUM_LIMIT}")
     with np.errstate(over="ignore"):
         block = tt.cores[0].reshape(2, -1)
         for core in tt.cores[1:]:
@@ -550,7 +552,6 @@ class SweepReport:
     pivots_added: int
     bonds_skipped: int
     evals_used: int
-    budget_exhausted: bool
 
 
 def sweep(interp: CrossInterpolant, direction: str, rng, config: CrossConfig) -> SweepReport:
@@ -571,10 +572,8 @@ def sweep(interp: CrossInterpolant, direction: str, rng, config: CrossConfig) ->
     added = 0
     skipped = 0
     ev0 = interp.evaluations()
-    exhausted = False
     for k in bonds:
         if interp.evaluations() >= config.n_max:
-            exhausted = True
             break
         if interp.rank(k) >= config.r_max:
             skipped += 1
@@ -598,8 +597,7 @@ def sweep(interp: CrossInterpolant, direction: str, rng, config: CrossConfig) ->
     max_error = max(errors.values(), default=0.0)
     return SweepReport(direction=direction, bond_errors=errors, max_error=max_error,
                        pivots_added=added, bonds_skipped=skipped,
-                       evals_used=interp.evaluations() - ev0,
-                       budget_exhausted=exhausted)
+                       evals_used=interp.evaluations() - ev0)
 
 
 @dataclass
@@ -657,6 +655,14 @@ def cross_optimize(objective, d: int, g0, config: CrossConfig,
     the evaluation budget ("budget") or the sweep cap ("max_sweeps").  A
     final interpolant with a singular cross matrix is neither exported nor
     harvested.
+
+    The budget is checked before each bond and each step of its rook
+    search, not before each solve.  So the d + 1 lookups of the start
+    always run, and the bond in progress when the budget runs out finishes
+    its search and admission: at bond k that is at most
+    2 (r_{k-1} + r_{k+1} - r_k) - 2 <= 4 (r_max - 1) solves past n_max.
+    A run solves at most max(d + 1, n_max + 4 (r_max - 1)) indices, plus
+    up to d for each re-anchor, whose restart is not checked either.
     """
     memo = objective if hasattr(objective, "n_evaluations") else Memo(objective)
     g0 = tuple(int(b) for b in g0)
@@ -720,12 +726,10 @@ def cross_optimize(objective, d: int, g0, config: CrossConfig,
                                        max_error=report.max_error, g_max=g_best,
                                        value=v,
                                        cpu_seconds=time.process_time() - t0))
-            if report.budget_exhausted or spent() >= config.n_max:
+            if spent() >= config.n_max:
                 return result("budget", interp)
-            if report.bonds_skipped == interp.d - 1:
-                return result("rank_saturated", interp)
-            # bonds with a NaN residual record no error; a sweep of only
-            # those has not converged
+            # bonds at r_max or with a NaN residual record no error; a sweep
+            # of only those has not converged (all at r_max is saturation)
             if report.bond_errors and report.max_error <= config.delta * v:
                 return result("converged", interp)
             if all(interp.rank(k) >= config.r_max or interp.bond_saturated(k)

@@ -18,7 +18,6 @@ import numpy as np
 
 from .epidemic import (
     AdjacencyVector,
-    CapacityError,
     EpidemicParams,
     NetworkState,
     Trajectory,
@@ -36,6 +35,10 @@ SCORE_THRESHOLD = 0.2
 # optimizer seeds are offset from dataset seeds so the two stream families
 # never collide when runs are enumerated from one base seed
 OPTIMIZER_SEED_OFFSET = 1_000_000
+
+
+class CapacityError(RuntimeError):
+    """Requested operation exceeds the configured size limit."""
 
 
 def score_init(data: Trajectory, threshold: float = SCORE_THRESHOLD) -> AdjacencyVector:

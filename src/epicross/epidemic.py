@@ -13,11 +13,10 @@ scipy matrix: the generator is a value vector on a sparsity pattern shared
 by every network of N nodes, and each series term is scipy's CSC kernel
 run into reused buffers.  A large block of columns is split between the
 caller and one helper process, with the same bytes as the serial series.
-The dense transition_matrix is a reference oracle for small systems.
 
 Importing this module loads numpy, the top-level scipy package and one
 compiled module of scipy.sparse, its CSC kernels (_load_sparsetools), but
-not the scipy.sparse package, which RateMatrix.q imports on first use.
+not the scipy.sparse package.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ def _load_sparsetools():
     Registered in sys.modules, the one module object serves scipy.sparse
     too, imported before or after; it is reachable by import but is no
     attribute of the scipy.sparse package.  Without the file, the ordinary
-    import runs.
+    import runs, the library's only import of the scipy.sparse package.
     """
     name = "scipy.sparse._sparsetools"
     if name in sys.modules:
@@ -65,10 +64,6 @@ def _load_sparsetools():
 
 
 _sparsetools = _load_sparsetools()
-
-
-class CapacityError(RuntimeError):
-    """Requested operation exceeds the configured size limit."""
 
 
 def pair_order(n_nodes: int) -> list[tuple[int, int]]:
@@ -247,24 +242,13 @@ class RateMatrix:
 
     `data` holds the CSC values on the sparsity pattern that every
     generator of `dim` states shares (_generator_pattern), `diag` the
-    positions of the diagonal entries q[x, x] in it.  The scipy matrix `q`
-    is built on first use, which imports scipy.sparse; the likelihood never
-    asks for it, only the dense oracle does.  Generators compare by identity.
+    positions of the diagonal entries q[x, x] in it.  Generators compare by
+    identity.
     """
 
     dim: int
     data: np.ndarray
     diag: np.ndarray
-
-    @functools.cached_property
-    def q(self) -> scipy.sparse.csc_array:
-        from scipy.sparse import csc_array
-
-        _, indices, indptr, _, _ = _generator_pattern(self.dim.bit_length() - 1)
-        return csc_array((self.data, indices, indptr), shape=(self.dim, self.dim))
-
-    def dense(self) -> np.ndarray:
-        return self.q.toarray()
 
     def exit_rates(self) -> np.ndarray:
         return -self.data[self.diag]
@@ -318,48 +302,12 @@ def build_generator(g: AdjacencyVector, params: EpidemicParams) -> RateMatrix:
     return RateMatrix(dim=dim, data=full.ravel()[gather], diag=diag)
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Column-stochastic matrix of step probabilities over a fixed interval."""
-
-    dim: int
-    dt: float
-    probs: np.ndarray
-
-
-MAX_DENSE_DIM = 4096  # dense oracle guard: 12 nodes, a 128 MiB matrix
 RTOL = 1e-12          # relative accuracy of the entries transition_columns names
 MAX_TERMS = 2000      # series terms per substep before giving up on RTOL
 INNER_TARGET = RTOL * np.finfo(float).tiny  # neglected mass of inner substeps
 # states x columns from which a block is split between two processes: the
 # break-even of the exchange, 15 000 to 20 000 on a 2-vCPU machine
 SPLIT_MIN_WORK = 20_000
-
-
-def transition_matrix(rate: RateMatrix, dt: float) -> TransitionMatrix:
-    """Dense matrix exponential exp(Q dt), validated column-stochastic.
-
-    The reference oracle for small systems (scaling-and-squaring Pade);
-    refuses more than MAX_DENSE_DIM states with a CapacityError.  The
-    likelihood uses transition_columns instead.
-    """
-    dt = float(dt)
-    if not math.isfinite(dt) or dt <= 0:
-        raise ValueError(f"dt must be finite and positive, got {dt}")
-    if rate.dim > MAX_DENSE_DIM:
-        raise CapacityError(
-            f"dim {rate.dim} exceeds the dense limit {MAX_DENSE_DIM}; "
-            "use transition_columns")
-    # imported here, so that importing epicross does not load scipy.linalg
-    from scipy.linalg import expm
-
-    p = expm(rate.dense() * dt)
-    col_sums = p.sum(axis=0)
-    if np.max(np.abs(col_sums - 1.0)) > 1e-10:
-        raise ArithmeticError("transition matrix columns do not sum to 1")
-    if p.min() < -1e-12 or p.max() > 1 + 1e-12:
-        raise ArithmeticError("transition matrix entries outside [0, 1]")
-    return TransitionMatrix(dim=rate.dim, dt=dt, probs=np.clip(p, 0.0, 1.0))
 
 
 def transition_columns(rate: RateMatrix, dt: float, cols,
@@ -422,7 +370,8 @@ def _prepare(rate: RateMatrix, dt: float, cols) -> tuple[np.ndarray, _Series | N
         return cols, None
     n_sub = max(1, math.ceil(lam * dt / 200.0))  # exp(-mu) far from underflow
     # P = I + Q/lam, entrywise >= 0, on the pattern of Q; scaled by the
-    # reciprocal as scipy's q / lam is, so the entries match it bit for bit
+    # reciprocal as a scipy matrix's q / lam is, so the entries match it
+    # bit for bit
     data = rate.data * (1.0 / lam)
     data[rate.diag] += 1.0
     n = rate.dim.bit_length() - 1

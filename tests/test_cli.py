@@ -60,9 +60,10 @@ def test_simulate_x0_override(tmp_path, chain3):
           "--dt", "0.5", "--tmax", "2.0", "--x0", "011", "--out", str(out)])
     got = read_trajectory(out)
     assert list(got.states[0]) == [0, 1, 1]
-    with pytest.raises(SystemExit):
-        main(["simulate", "--network", str(chain3), *PARAMS,
-              "--dt", "0.5", "--tmax", "2.0", "--x0", "01", "--out", str(out)])
+    for bad in ("01", "120", "1a0"):
+        with pytest.raises(SystemExit, match="--x0 must be a 01-string"):
+            main(["simulate", "--network", str(chain3), *PARAMS,
+                  "--dt", "0.5", "--tmax", "2.0", "--x0", bad, "--out", str(out)])
 
 
 def test_loglik_prints_value(tmp_path, chain3, capsys):

@@ -456,10 +456,9 @@ class TestCrossInterpolant:
 
 
 def test_import_leaves_scipy_linalg_unloaded():
-    # cross matrices are solved with numpy, the dense oracle imports expm
-    # and RateMatrix.q scipy.sparse when called, and the likelihood's CSC
-    # kernel module is loaded on its own: neither importing the package nor
-    # a likelihood solve loads scipy.linalg or the scipy.sparse package
+    # cross matrices are solved with numpy, and the likelihood's CSC kernel
+    # module is loaded on its own: neither importing the package nor a
+    # likelihood solve loads scipy.linalg or the scipy.sparse package
     script = """
 import sys
 import epicross
@@ -518,8 +517,30 @@ class TestCrossOptimize:
         res = cross_optimize(f, 8, (0,) * 8, cfg)
         assert res.termination == "budget"
         assert res.n_evaluations >= 40
-        # overshoot is bounded by one in-flight bond search
-        assert res.n_evaluations <= 40 + 60
+        # the bond in progress finishes: at most 4 (r_max - 1) solves over
+        assert res.n_evaluations <= 40 + 4 * (6 - 1)
+
+    def test_budget_cuts_a_sweep_short(self):
+        # the budget runs out inside the first left-to-right sweep: the
+        # last bonds keep rank 1, and the cut sweep is recorded
+        rng = np.random.default_rng(81)
+        f, _ = random_tensor_fn(rng, 8)
+        res = cross_optimize(f, 8, (0,) * 8, CrossConfig(r_max=4, n_max=20, seed=0))
+        assert res.termination == "budget"
+        assert res.ranks[1] == 2 and res.ranks[7] == 1
+        assert [(rec.sweep, rec.n_evaluations) for rec in res.history] == [
+            (1, res.n_evaluations)]
+
+    def test_rank_one_cap_saturates_after_one_sweep(self):
+        # with r_max = 1 every bond is capped from the start: sweep 1
+        # searches nothing and the run ends there
+        rng = np.random.default_rng(79)
+        f, _ = random_tensor_fn(rng, 6)
+        res = cross_optimize(f, 6, (0,) * 6, CrossConfig(r_max=1, n_max=10_000, seed=0))
+        assert res.termination == "rank_saturated"
+        assert res.ranks == [1] * 7
+        assert [(rec.sweep, rec.n_evaluations, rec.max_error)
+                for rec in res.history] == [(1, 7, 0.0)]
 
     def test_max_sweeps_termination(self):
         rng = np.random.default_rng(49)
@@ -564,12 +585,24 @@ class TestCrossOptimize:
         assert (results[0].n_evaluations == results[1].n_evaluations
                 == results[2].n_evaluations)
 
-    def test_each_index_solved_at_most_once(self):
+    def test_each_index_solved_at_most_once(self, monkeypatch):
         # however often crossing fibers ask for an entry, the function
         # behind the memo is solved once per index, within a run and across
         # runs sharing one memo, and the counters count exactly those solves;
         # at tau 1e-3 the logs (spread over 2.3) overflow, so the third run
-        # on a shared memo re-anchors
+        # on a shared memo re-anchors.  Each run stays within the budget's
+        # bound: max(d + 1, n_max + 4 (r_max - 1)) solves, plus d for each
+        # re-anchor, counted here as the starts after the first
+        starts = []
+        monkeypatch.setattr(cross, "CrossInterpolant",
+                            lambda *args: starts.append(args) or CrossInterpolant(*args))
+
+        def solves(objective, g0, cfg, tau=None):
+            starts.clear()
+            n = cross_optimize(objective, d, g0, cfg, tau=tau).n_evaluations
+            assert n <= max(d + 1, cfg.n_max + 4 * (cfg.r_max - 1)) + d * (len(starts) - 1)
+            return n
+
         rng = np.random.default_rng(75)
         for trial in range(40):
             d = int(rng.integers(2, 9))
@@ -585,11 +618,10 @@ class TestCrossOptimize:
                               n_max=int(rng.integers(5, 300)), seed=trial,
                               max_sweeps=int(rng.integers(1, 6)))
             if trial % 2:
-                res = cross_optimize(lambda bits: math.exp(f(bits)), d, g0, cfg)
-                runs = [res.n_evaluations]
+                runs = [solves(lambda bits: math.exp(f(bits)), g0, cfg)]
             else:
                 memo = Memo(f)
-                runs = [cross_optimize(memo, d, g0, cfg, tau=tau).n_evaluations
+                runs = [solves(memo, g0, cfg, tau)
                         for tau in (1.0, float(rng.choice([0.5, 10.0])), 1e-3)]
                 assert sum(runs) == memo.n_evaluations
             assert max(calls.values()) == 1
@@ -753,7 +785,6 @@ class TestTensorTrain:
         tt = TensorTrain([np.ones((1, 2, 1))] * 21)
         with pytest.raises(ValueError):
             tensor_argmax(tt)
-        assert tensor_argmax(tt, limit=21) == (0,) * 21
 
     def test_optimize_recovers_max_of_exactly_low_rank_tensor(self):
         # the sweeps stall once interpolation is exact, so the maximum must

@@ -6,7 +6,6 @@ import pytest
 from epicross.cross import CrossConfig, Memo
 from epicross.epidemic import (
     AdjacencyVector,
-    CapacityError,
     EpidemicParams,
     NetworkState,
     Trajectory,
@@ -16,6 +15,7 @@ from epicross.epidemic import (
 )
 from epicross.likelihood import log_likelihood
 from epicross.driver import (
+    CapacityError,
     ExperimentConfig,
     RunResult,
     brute_force_mle,

@@ -11,10 +11,10 @@ import pytest
 from scipy import sparse
 from scipy.linalg import expm
 
+from dense_oracle import dense_generator, transition_matrix
 from epicross import epidemic
 from epicross.epidemic import (
     AdjacencyVector,
-    CapacityError,
     EpidemicParams,
     NetworkState,
     Trajectory,
@@ -28,7 +28,6 @@ from epicross.epidemic import (
     read_trajectory,
     ssa_simulate,
     transition_columns,
-    transition_matrix,
     unpack_adjacency,
     write_network,
     write_trajectory,
@@ -64,10 +63,12 @@ def coo_generator(g, params):
 
 def reference_columns(rate, dt, cols, entries):
     """One-substep uniformization (lam dt <= 200) with the jump matrix built
-    as scipy's rate.q / lam plus setdiag, stopping as transition_columns
-    does."""
-    lam = float((-rate.q.diagonal()).max())
-    jump = rate.q / lam
+    as a scipy csc_array q / lam plus setdiag, stopping as
+    transition_columns does."""
+    _, indices, indptr, _, _ = epidemic._generator_pattern(rate.dim.bit_length() - 1)
+    q = sparse.csc_array((rate.data, indices, indptr), shape=(rate.dim, rate.dim))
+    lam = float((-q.diagonal()).max())
+    jump = q / lam
     jump.setdiag(jump.diagonal() + 1.0)
     v = np.zeros((rate.dim, len(cols)))
     v[cols, np.arange(len(cols))] = 1.0
@@ -182,7 +183,7 @@ class TestStates:
 class TestGenerator:
     def test_two_node_edge_exact(self):
         p = EpidemicParams(beta=1.3, gamma=0.7, eps=0.05)
-        q = build_generator(AdjacencyVector((1,)), p).dense()
+        q = dense_generator(build_generator(AdjacencyVector((1,)), p))
         b, g, e = p.beta, p.gamma, p.eps
         # states ordered 00, 10, 01, 11 by linear index
         expected = np.array([
@@ -195,7 +196,7 @@ class TestGenerator:
 
     def test_two_node_no_edge_exact(self):
         p = EpidemicParams(beta=1.3, gamma=0.7, eps=0.05)
-        q = build_generator(AdjacencyVector((0,)), p).dense()
+        q = dense_generator(build_generator(AdjacencyVector((0,)), p))
         g, e = p.gamma, p.eps
         expected = np.array([
             [-2 * e, g,        g,        0.0],
@@ -211,16 +212,15 @@ class TestGenerator:
             n = int(rng.integers(2, 7))
             g = random_network(rng, n)
             p = EpidemicParams(*rng.uniform(0.05, 2.0, size=3))
-            q = build_generator(g, p)
-            np.testing.assert_allclose(q.q.sum(axis=0), 0.0, atol=1e-12)
-            dense = q.dense()
+            dense = dense_generator(build_generator(g, p))
+            np.testing.assert_allclose(dense.sum(axis=0), 0.0, atol=1e-12)
             off = dense - np.diag(np.diag(dense))
             assert off.min() >= 0.0
 
     def test_single_flip_sparsity(self):
         g = chain_network(5)
         p = EpidemicParams(beta=1.0, gamma=0.5, eps=0.01)
-        q = build_generator(g, p).dense()
+        q = dense_generator(build_generator(g, p))
         for col in range(32):
             rows = np.nonzero(q[:, col])[0]
             rows = rows[rows != col]
@@ -235,11 +235,11 @@ class TestGenerator:
         p = EpidemicParams(beta=0.9, gamma=0.4, eps=0.02)
         for _ in range(100):
             g = random_network(rng, 5)
-            q1 = build_generator(g, p).q
+            q1 = dense_generator(build_generator(g, p))
             n = int(rng.integers(0, 5))
             away = [i for i, (a, b) in enumerate(pairs) if n not in (a, b)]
             k = int(rng.choice(away))
-            q2 = build_generator(g.flip(k), p).q
+            q2 = dense_generator(build_generator(g.flip(k), p))
             x = int(rng.integers(0, 32))
             if not (x >> n) & 1:
                 y = x | (1 << n)
@@ -258,19 +258,17 @@ class TestGenerator:
                 g = random_network(rng, n)
                 rate = build_generator(g, p)
                 reference = coo_generator(g, p)
-                assert np.array_equal(rate.dense(), reference)
+                assert np.array_equal(dense_generator(rate), reference)
                 assert np.array_equal(rate.exit_rates(), -np.diag(reference))
 
     def test_shared_pattern_is_read_only(self):
         # generators of one node count share the sparsity pattern, so an
-        # in-place structural change must fail instead of corrupting it
+        # in-place change must fail instead of corrupting it
         p = EpidemicParams(beta=1.0, gamma=0.5, eps=0.0)
-        q = build_generator(AdjacencyVector.empty(3), p).q
-        with pytest.raises(ValueError):
-            q.indices[0] = 1
-        with pytest.raises(ValueError):
-            q.eliminate_zeros()
-        other = build_generator(chain_network(3), p).dense()
+        for shared in epidemic._generator_pattern(3):
+            with pytest.raises(ValueError):
+                shared[...] = shared  # a write, even of the same values
+        other = dense_generator(build_generator(chain_network(3), p))
         assert np.array_equal(other, coo_generator(chain_network(3), p))
 
     def test_equality_is_identity(self):
@@ -279,13 +277,6 @@ class TestGenerator:
         b = build_generator(chain_network(3), p)
         assert a == a and a != b
         assert len({a, b, a}) == 2 and hash(a) == hash(a)
-
-    def test_scipy_matrix_built_on_first_use(self):
-        p = EpidemicParams(beta=1.0, gamma=0.5, eps=0.01)
-        rate = build_generator(chain_network(4), p)
-        assert "q" not in vars(rate)
-        assert rate.q is rate.q
-        assert np.array_equal(rate.dense(), coo_generator(chain_network(4), p))
 
 
 class TestTransitionMatrix:
@@ -296,8 +287,8 @@ class TestTransitionMatrix:
             g = random_network(rng, n)
             p = EpidemicParams(*rng.uniform(0.05, 2.0, size=3))
             m = transition_matrix(build_generator(g, p), float(rng.uniform(0.05, 1.5)))
-            np.testing.assert_allclose(m.probs.sum(axis=0), 1.0, atol=1e-10)
-            assert m.probs.min() >= 0.0 and m.probs.max() <= 1.0
+            np.testing.assert_allclose(m.sum(axis=0), 1.0, atol=1e-10)
+            assert m.min() >= 0.0 and m.max() <= 1.0
 
     def test_single_node_analytic(self):
         # one node, no pairs: infection at eps, recovery at gamma
@@ -306,20 +297,8 @@ class TestTransitionMatrix:
         m = transition_matrix(build_generator(AdjacencyVector(()), p), dt)
         rate = p.eps + p.gamma
         expected = (p.eps / rate) * (1.0 - math.exp(-rate * dt))
-        assert m.probs[1, 0] == pytest.approx(expected, abs=1e-12)
-        assert m.probs[0, 0] == pytest.approx(1.0 - expected, abs=1e-12)
-
-    def test_dt_validation(self):
-        q = build_generator(AdjacencyVector((1,)), EpidemicParams(1.0, 0.5, 0.01))
-        for bad in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                transition_matrix(q, bad)
-
-    def test_capacity_error(self):
-        # the dense oracle refuses more than 12 nodes (4096 states)
-        q = build_generator(chain_network(13), EpidemicParams(1.0, 0.5, 0.01))
-        with pytest.raises(CapacityError):
-            transition_matrix(q, 0.1)
+        assert m[1, 0] == pytest.approx(expected, abs=1e-12)
+        assert m[0, 0] == pytest.approx(1.0 - expected, abs=1e-12)
 
     def test_uniformization_matches_dense(self):
         rng = np.random.default_rng(13)
@@ -329,7 +308,7 @@ class TestTransitionMatrix:
             p = EpidemicParams(*rng.uniform(0.05, 2.0, size=3))
             q = build_generator(g, p)
             dt = float(rng.uniform(0.05, 2.0))
-            dense = expm(q.dense() * dt)
+            dense = expm(dense_generator(q) * dt)
             cols = rng.choice(q.dim, size=min(5, q.dim), replace=False)
             approx = transition_columns(q, dt, cols)
             np.testing.assert_allclose(approx, dense[:, cols], atol=1e-10)
@@ -339,7 +318,7 @@ class TestTransitionMatrix:
         p = EpidemicParams(beta=3.0, gamma=2.0, eps=0.1)
         q = build_generator(g, p)
         dt = 60.0  # forces the Poisson mean above one substep
-        dense = expm(q.dense() * dt)
+        dense = expm(dense_generator(q) * dt)
         approx = transition_columns(q, dt, np.arange(q.dim))
         np.testing.assert_allclose(approx, dense, atol=1e-9)
 
@@ -568,15 +547,17 @@ import numpy as np
 import scipy.sparse
 from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import spsolve
-from epicross.epidemic import (EpidemicParams, build_generator, chain_network,
-                               transition_columns, transition_matrix)
+from scipy.linalg import expm
+from epicross.epidemic import (EpidemicParams, _generator_pattern, build_generator,
+                               chain_network, transition_columns)
 assert epidemic._sparsetools is _sparsetools is sys.modules["scipy.sparse._sparsetools"]
 a = scipy.sparse.csc_array(np.array([[2.0, 1.0], [0.0, 4.0]]))
 assert (a @ np.ones(2)).tolist() == [3.0, 4.0]
 assert np.allclose(spsolve(a, np.array([3.0, 4.0])), [1.0, 1.0])
 rate = build_generator(chain_network(3), EpidemicParams(1.0, 0.5, 0.1))
-assert isinstance(rate.q, scipy.sparse.csc_array)
-probs = transition_matrix(rate, 0.4).probs
+_, indices, indptr, _, _ = _generator_pattern(3)
+q = scipy.sparse.csc_array((rate.data, indices, indptr), shape=(8, 8))
+probs = expm(q.toarray() * 0.4)
 got = transition_columns(rate, 0.4, [0, 5])
 assert np.allclose(got, probs[:, [0, 5]], rtol=0.0, atol=1e-12)
 print("ok")
