@@ -15,7 +15,7 @@ from .epidemic import (
     write_trajectory,
 )
 from .likelihood import log_likelihood
-from .cross import CrossConfig, save_tt_cores
+from .cross import CrossConfig, TemperConfig, save_tt_cores
 from .driver import (
     ExperimentConfig,
     brute_force_mle,
@@ -78,7 +78,6 @@ def _cmd_brute(args) -> int:
         "cache_hits": cache.n_hits,
         "termination": "exhaustive",
         "history": [],
-        "tau": args.tau,
     }
     _write_json(payload, args.out)
     if args.cache_out:
@@ -99,12 +98,15 @@ def _resolve_cli_init(choice: str, n_nodes: int):
 
 
 def _cmd_infer(args) -> int:
+    try:
+        TemperConfig(args.tau)
+        config = CrossConfig(r_max=args.rank_max, n_max=args.budget, seed=args.seed,
+                             max_sweeps=args.sweeps)
+    except ValueError as exc:
+        raise SystemExit(f"infer: {exc}") from None
     data = read_trajectory(args.data)
     truth = read_network(args.truth) if args.truth else None
     init = _resolve_cli_init(args.init, data.n_nodes)
-    config = CrossConfig(r_max=args.rank_max, n_max=args.budget, delta=args.delta,
-                         rook_max_iters=args.rook_iters, seed=args.seed,
-                         max_sweeps=args.sweeps)
     params = _params(args)
     cache = likelihood_memo(data, params)
     result = run_inference(data, params, args.tau, config, truth=truth,
@@ -159,8 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("brute", help="exhaustive maximum-likelihood network")
     p.add_argument("--data", required=True)
     _add_params(p)
-    p.add_argument("--tau", type=float, default=1.0,
-                   help="temperature recorded in the result")
     p.add_argument("--dlimit", type=int, default=20,
                    help="refuse more than this many pair bits")
     p.add_argument("--cache-out", default=None, help="dump the likelihood table")
@@ -171,13 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     _add_params(p)
     p.add_argument("--tau", type=float, default=1.0, help="temperature")
-    p.add_argument("--rank-max", type=int, default=5)
-    p.add_argument("--delta", type=float, default=0.0,
-                   help="stop once residual <= delta * best value")
+    p.add_argument("--rank-max", type=int, default=5, help="bond rank cap (r_max)")
     p.add_argument("--budget", type=int, default=100_000,
-                   help="likelihood evaluation budget")
-    p.add_argument("--rook-iters", type=int, default=3)
-    p.add_argument("--sweeps", type=int, default=None, help="sweep cap")
+                   help="likelihood evaluation budget (n_max)")
+    p.add_argument("--sweeps", type=int, default=None, help="sweep cap (max_sweeps)")
     p.add_argument("--init", default="score", help="score, zero or file:PATH")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--truth", default=None,

@@ -32,6 +32,8 @@ ARGMAX_ENUM_LIMIT = 20
 # pivots whose residual is below this times the entry's own magnitude are
 # floating-point noise and are not admitted
 PIVOT_RTOL = 1e-14
+# rounds of the alternating column/row maximization in a rook search
+ROOK_MAX_ITERS = 3
 
 
 @dataclass(frozen=True)
@@ -39,16 +41,13 @@ class CrossConfig:
     """Knobs of the greedy cross optimizer.
 
     r_max bounds every bond rank; n_max budgets objective evaluations, a
-    few of which may run past it (see cross_optimize); delta stops once the
-    largest sweep residual drops below delta times the best value seen;
-    rook_max_iters bounds the alternating row/column maximization;
-    max_sweeps, when set, bounds the number of sweeps.
+    few of which may run past it (see cross_optimize); seed drives the
+    random probes of the rook searches; max_sweeps, when set, bounds the
+    number of sweeps.
     """
 
     r_max: int = 10
     n_max: int = 10_000
-    delta: float = 0.0
-    rook_max_iters: int = 3
     seed: int = 0
     max_sweeps: int | None = None
 
@@ -57,10 +56,6 @@ class CrossConfig:
             raise ValueError(f"r_max must be >= 1, got {self.r_max}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if not (math.isfinite(self.delta) and self.delta >= 0):
-            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
-        if self.rook_max_iters < 1:
-            raise ValueError(f"rook_max_iters must be >= 1, got {self.rook_max_iters}")
         if self.max_sweeps is not None and self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
 
@@ -197,28 +192,10 @@ class SubtensorView:
     """Lazy window onto one bond: entries come from the objective, the
     interpolant prediction is precomputed, residual = entry - prediction."""
 
-    def __init__(self, shape, entry, approx, counter):
+    def __init__(self, shape, entry, approx):
         self.shape = shape
         self._entry = entry
         self._approx = approx
-        self._counter = counter
-
-    @classmethod
-    def from_matrix(cls, matrix, approx, counter=None):
-        """Wrap a dense matrix (testing convenience); counts entry accesses
-        itself when no counter is given."""
-        m = np.asarray(matrix, dtype=float)
-        state = {"n": 0}
-
-        def entry(i, j):
-            state["n"] += 1
-            return float(m[i, j])
-
-        return cls(m.shape, entry, np.asarray(approx, dtype=float),
-                   counter if counter is not None else (lambda: state["n"]))
-
-    def value(self, i: int, j: int) -> float:
-        return self._entry(i, j)
 
     def residual(self, i: int, j: int) -> float:
         return self._entry(i, j) - float(self._approx[i, j])
@@ -228,42 +205,32 @@ class SubtensorView:
         residual is genuine or cancellation noise."""
         return max(abs(self._entry(i, j)), abs(float(self._approx[i, j])))
 
-    @property
-    def n_evaluations(self) -> int:
-        return self._counter()
-
 
 @dataclass(frozen=True)
 class RookResult:
     pivot: tuple[int, int] | None
     max_error: float
-    evals_used: int
     converged: bool
 
 
 def matrix_cross_step(view: SubtensorView, row_set, col_set, rng,
-                      rook_max_iters: int = 3,
-                      eval_budget: int | None = None) -> RookResult:
+                      exhausted=lambda: False) -> RookResult:
     """One greedy pivot search on a matrix view.
 
     Seeds from the largest-residual entry among min(M, N) probes drawn
     uniformly without replacement from the grid of unused rows x unused
     columns, then alternates column/row argmax (a rook search) for at most
-    rook_max_iters rounds.  Rows in row_set and columns in col_set are
+    ROOK_MAX_ITERS rounds.  Rows in row_set and columns in col_set are
     already interpolated (residual zero by construction) and excluded.
     Returns no pivot when nothing is free or every probed residual is
     exactly zero.  Ties break toward the smallest row-major linear index.
-    The search stops early once view.n_evaluations reaches eval_budget.
+    `exhausted()`, asked before each probe and scan, stops the search once true.
     """
     n_rows, n_cols = view.shape
     free_rows = sorted(set(range(n_rows)) - set(row_set))
     free_cols = sorted(set(range(n_cols)) - set(col_set))
-    ev0 = view.n_evaluations
     if not free_rows or not free_cols:
-        return RookResult(None, 0.0, 0, False)
-
-    def out_of_budget():
-        return eval_budget is not None and view.n_evaluations >= eval_budget
+        return RookResult(None, 0.0, False)
 
     n_free = len(free_rows) * len(free_cols)
     n_probe = min(min(n_rows, n_cols), n_free)
@@ -273,22 +240,22 @@ def matrix_cross_step(view: SubtensorView, row_set, col_set, rng,
     best = 0.0
     seed = None
     for i, j in probes:
-        if out_of_budget():
+        if exhausted():
             break
         r = abs(view.residual(i, j))
         if r > best:
             best, seed = r, (i, j)
     if seed is None:
-        return RookResult(None, 0.0, view.n_evaluations - ev0, False)
+        return RookResult(None, 0.0, False)
 
     i_star, j_star = seed
     converged = False
-    for _ in range(rook_max_iters):
-        if out_of_budget():
+    for _ in range(ROOK_MAX_ITERS):
+        if exhausted():
             break
         col = [abs(view.residual(i, j_star)) for i in free_rows]
         i_star = free_rows[_argmax(col)]
-        if out_of_budget():
+        if exhausted():
             break
         row = [abs(view.residual(i_star, j)) for j in free_cols]
         j_new = free_cols[_argmax(row)]
@@ -297,7 +264,7 @@ def matrix_cross_step(view: SubtensorView, row_set, col_set, rng,
             break
         j_star = j_new
     max_error = abs(view.residual(i_star, j_star))
-    return RookResult((i_star, j_star), max_error, view.n_evaluations - ev0, converged)
+    return RookResult((i_star, j_star), max_error, converged)
 
 
 def _argmax(values) -> int:
@@ -394,7 +361,7 @@ class CrossInterpolant:
             suffix = (j // r_next,) + self.right[k + 1][j % r_next]
             return self.objective(prefix + suffix)
 
-        view = SubtensorView(approx.shape, entry, approx, self.evaluations)
+        view = SubtensorView(approx.shape, entry, approx)
         row_set = {self.left_pos[k - 1][q[:-1]] * 2 + q[-1] for q in self.left[k]}
         col_set = {q[0] * r_next + self.right_pos[k + 1][q[1:]] for q in self.right[k]}
         return view, row_set, col_set
@@ -546,12 +513,9 @@ def load_tt_cores(path) -> TensorTrain:
 
 @dataclass(frozen=True)
 class SweepReport:
-    direction: str
     bond_errors: dict[int, float]
     max_error: float
     pivots_added: int
-    bonds_skipped: int
-    evals_used: int
 
 
 def sweep(interp: CrossInterpolant, direction: str, rng, config: CrossConfig) -> SweepReport:
@@ -562,26 +526,25 @@ def sweep(interp: CrossInterpolant, direction: str, rng, config: CrossConfig) ->
     without a pivot record an error of zero.  Pivots whose residual falls
     below the noise floor of their own entry are searched but not
     admitted, and a NaN residual (inf * 0 in the prediction) is never
-    admitted and records no error.  The pass stops early when the
-    evaluation budget is exhausted.
+    admitted and records no error.  The pass stops once the budget is
+    spent, checked before each bond and inside its rook search.
     """
     if direction not in ("lr", "rl"):
         raise ValueError(f"direction must be 'lr' or 'rl', got {direction!r}")
     bonds = range(1, interp.d) if direction == "lr" else range(interp.d - 1, 0, -1)
     errors: dict[int, float] = {}
     added = 0
-    skipped = 0
-    ev0 = interp.evaluations()
+
+    def exhausted() -> bool:
+        return interp.evaluations() >= config.n_max
+
     for k in bonds:
-        if interp.evaluations() >= config.n_max:
+        if exhausted():
             break
         if interp.rank(k) >= config.r_max:
-            skipped += 1
             continue
         view, row_set, col_set = interp.bond_view(k)
-        step = matrix_cross_step(view, row_set, col_set, rng,
-                                 rook_max_iters=config.rook_max_iters,
-                                 eval_budget=config.n_max)
+        step = matrix_cross_step(view, row_set, col_set, rng, exhausted)
         if step.pivot is None:
             errors[k] = 0.0
             continue
@@ -595,9 +558,7 @@ def sweep(interp: CrossInterpolant, direction: str, rng, config: CrossConfig) ->
         interp.admit(k, *step.pivot)
         added += 1
     max_error = max(errors.values(), default=0.0)
-    return SweepReport(direction=direction, bond_errors=errors, max_error=max_error,
-                       pivots_added=added, bonds_skipped=skipped,
-                       evals_used=interp.evaluations() - ev0)
+    return SweepReport(bond_errors=errors, max_error=max_error, pivots_added=added)
 
 
 @dataclass
@@ -638,8 +599,9 @@ def cross_optimize(objective, d: int, g0, config: CrossConfig,
     argmax (a Memo, or anything forwarding to one) is used as it is, so one
     memo can serve several runs.  The n_max budget, the result's
     n_evaluations and the history count this run's own solves.  With tau
-    None the values are maximized as they are; otherwise they are
-    log-likelihoods and the target is
+    None the values are maximized as they are; otherwise tau is checked
+    before anything is solved, the values are log-likelihoods and the
+    target is
     tempered_objective(objective(bits), TemperConfig(tau, shift)), the shift
     starting at objective(g0), where the target is exactly 1.  Pivots do
     not change under positive scaling, so when a tempered value overflows
@@ -650,14 +612,14 @@ def cross_optimize(objective, d: int, g0, config: CrossConfig,
     Without tau, or with no network above the shift, the error propagates.
     Values in the result and the history are on the scale in force when
     recorded.  Sweeps alternate direction and stop on the first of:
-    residual below delta * best value ("converged"), every bond capped or
+    no residual left on any searched bond ("converged"), every bond capped or
     saturated ("rank_saturated"), a sweep admitting no pivot ("stalled"),
     the evaluation budget ("budget") or the sweep cap ("max_sweeps").  A
     final interpolant with a singular cross matrix is neither exported nor
     harvested.
 
-    The budget is checked before each bond and each step of its rook
-    search, not before each solve.  So the d + 1 lookups of the start
+    The budget is checked before each bond and each probe and step of its
+    rook search, not before each solve.  So the d + 1 lookups of the start
     always run, and the bond in progress when the budget runs out finishes
     its search and admission: at bond k that is at most
     2 (r_{k-1} + r_{k+1} - r_k) - 2 <= 4 (r_max - 1) solves past n_max.
@@ -677,6 +639,7 @@ def cross_optimize(objective, d: int, g0, config: CrossConfig,
     if tau is None:
         temper, value = None, memo
     else:
+        temper = TemperConfig(tau)  # reject a bad tau before the first solve
         ll0 = memo(g0)
         if ll0 == -math.inf:
             raise ValueError(
@@ -730,7 +693,7 @@ def cross_optimize(objective, d: int, g0, config: CrossConfig,
                 return result("budget", interp)
             # bonds at r_max or with a NaN residual record no error; a sweep
             # of only those has not converged (all at r_max is saturation)
-            if report.bond_errors and report.max_error <= config.delta * v:
+            if report.bond_errors and report.max_error == 0.0:
                 return result("converged", interp)
             if all(interp.rank(k) >= config.r_max or interp.bond_saturated(k)
                    for k in range(1, d)):

@@ -28,7 +28,7 @@ from .epidemic import (
     write_trajectory,
 )
 from .likelihood import log_likelihood
-from .cross import CrossConfig, Memo, TensorTrain, cross_optimize
+from .cross import CrossConfig, Memo, TemperConfig, TensorTrain, cross_optimize
 
 SCORE_THRESHOLD = 0.2
 
@@ -219,18 +219,18 @@ class ExperimentConfig:
     base_seed: int = 0
     r_max: int = 5
     n_max: int = 100_000
-    delta: float = 0.0
-    rook_max_iters: int = 3
     max_sweeps: int | None = 4
     init: str = "score"
     truth_bits: str | None = None
 
     def __post_init__(self):
-        self.taus = tuple(float(t) for t in self.taus)
+        # check temperatures and cross settings before any dataset is simulated
+        self.taus = tuple(TemperConfig(t).tau for t in self.taus)
         if not self.taus:
             raise ValueError("need at least one temperature")
         if self.n_datasets < 1:
             raise ValueError("need at least one dataset")
+        self.cross_config(self.base_seed)
 
     @property
     def params(self) -> EpidemicParams:
@@ -246,8 +246,7 @@ class ExperimentConfig:
         return chain_network(self.n_nodes)
 
     def cross_config(self, seed: int) -> CrossConfig:
-        return CrossConfig(r_max=self.r_max, n_max=self.n_max, delta=self.delta,
-                           rook_max_iters=self.rook_max_iters, seed=seed,
+        return CrossConfig(r_max=self.r_max, n_max=self.n_max, seed=seed,
                            max_sweeps=self.max_sweeps)
 
     @classmethod

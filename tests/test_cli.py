@@ -93,6 +93,7 @@ def test_brute_outputs(tmp_path, capsys):
     assert payload["loglik"] == ll_ref
     assert payload["termination"] == "exhaustive"
     assert payload["n_eval"] == 8
+    assert "tau" not in payload  # exhaustive search has no temperature
     loaded = Memo.load(cache_out)
     assert len(loaded) == 8
     assert f"g_max={g_ref.bitstring}" in capsys.readouterr().out
@@ -224,3 +225,13 @@ def test_bad_arguments_exit(tmp_path):
         main(["simulate", "--beta", "1.0"])
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+    # a bad temperature or cross setting exits with one line before
+    # anything is read: the data file is missing
+    args = ["--data", str(tmp_path / "missing.csv"), *PARAMS, "--out", "r.json"]
+    for flag, value, message in (("--tau", "0", "tau must be finite and positive"),
+                                 ("--tau", "nan", "tau must be finite and positive"),
+                                 ("--rank-max", "0", "r_max must be >= 1"),
+                                 ("--budget", "0", "n_max must be >= 1"),
+                                 ("--sweeps", "0", "max_sweeps must be >= 1")):
+        with pytest.raises(SystemExit, match=f"^infer: {message}, got"):
+            main(["infer", *args, flag, value])

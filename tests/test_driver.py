@@ -291,6 +291,12 @@ class TestExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig.from_json(path)
 
+    def test_config_checks_temperatures_and_cross_settings(self):
+        # checked when the config is built, before any dataset is simulated
+        for over in (dict(taus=(0,)), dict(taus=(1.0, float("nan"))), dict(r_max=0)):
+            with pytest.raises(ValueError):
+                self.small_config(**over)
+
     def test_truth_defaults_to_chain(self):
         cfg = self.small_config()
         assert cfg.truth == chain_network(3)
