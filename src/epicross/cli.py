@@ -116,8 +116,8 @@ def _cmd_infer(args) -> int:
         cache.save(args.cache_out)
     if args.cores_out:
         if result.tensor is None:
-            print("a cross matrix of the final interpolant is singular, so it "
-                  "has no tensor-train form; skipping --cores-out", file=sys.stderr)
+            print("the run has no final tensor train (a singular cross matrix, or "
+                  "no budget left to re-anchor); skipping --cores-out", file=sys.stderr)
         else:
             save_tt_cores(result.tensor, args.cores_out)
     print(f"g_max={result.g_max.bitstring} loglik={result.loglik:.10g} "
@@ -127,7 +127,10 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    config = ExperimentConfig.from_json(args.config)
+    try:
+        config = ExperimentConfig.from_json(args.config)
+    except ValueError as exc:  # malformed JSON too
+        raise SystemExit(f"experiment: {exc}") from None
     out = run_experiment(config, args.out)
     n_runs = sum(len(v) for v in out["runs"].values())
     print(f"{n_runs} runs -> {args.out}")

@@ -347,11 +347,11 @@ class CrossInterpolant:
             raise ValueError(f"bond index {k} out of range 1..{self.d - 1}")
         r_next = len(self.right[k + 1])
         f_left = self.fibers[k].reshape(-1, len(self.right[k]))
-        # near the double-range ceiling the prediction may overflow to inf;
-        # that only marks the entry as a maximal residual, and if its value
-        # overflows too, evaluating it re-anchors the run, so silence the
-        # warning
-        with np.errstate(over="ignore"):
+        # near the double-range ceiling the prediction may overflow to inf
+        # (or be inf * 0 = NaN); that only marks the entry as a maximal (or
+        # unmeasured) residual, and if its value overflows too, evaluating it
+        # re-anchors the run, so silence the warnings
+        with np.errstate(over="ignore", invalid="ignore"):
             growth = np.linalg.solve(self._cross_matrix(k),
                                      self.fibers[k + 1].reshape(len(self.left[k]), -1))
             approx = f_left @ growth
@@ -454,19 +454,19 @@ def tensor_argmax(tt: TensorTrain) -> tuple[int, ...]:
     """Exact argmax index of the materialized tensor.
 
     Enumerates all 2^d entries by blockwise contraction (d is capped at
-    ARGMAX_ENUM_LIMIT to bound time and memory); ties go to the
-    lexicographically smallest index."""
+    ARGMAX_ENUM_LIMIT to bound time and memory); ties go to the smallest
+    index in lexicographic order, and NaN (inf * 0) ranks lowest."""
     if tt.d > ARGMAX_ENUM_LIMIT:
         raise ValueError(
             f"{tt.d} modes exceed the enumeration limit {ARGMAX_ENUM_LIMIT}")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         block = tt.cores[0].reshape(2, -1)
         for core in tt.cores[1:]:
             block = (block @ core.reshape(core.shape[0], -1))
             block = block.reshape(-1, core.shape[2])
     # row index has bit k at weight 2^(d-1-k), so numeric order of rows is
     # lexicographic order of indices and argmax's first-hit rule breaks ties
-    idx = int(np.argmax(block[:, 0]))
+    idx = _argmax(block[:, 0])
     return tuple((idx >> (tt.d - 1 - k)) & 1 for k in range(tt.d))
 
 
@@ -578,8 +578,9 @@ class SweepRecord:
 @dataclass
 class CrossResult:
     """Outcome of cross_optimize: the best index seen and its target value
-    on the final scale, diagnostics per sweep, and the final interpolant in
-    TT form (None if one of its cross matrices is singular)."""
+    on the final scale, diagnostics per sweep, and the final interpolant's
+    ranks and TT form (None if a cross matrix is singular; [] and None if
+    the budget ran out as the run re-anchored)."""
 
     g_max: tuple
     value: float
@@ -618,13 +619,16 @@ def cross_optimize(objective, d: int, g0, config: CrossConfig,
     final interpolant with a singular cross matrix is neither exported nor
     harvested.
 
-    The budget is checked before each bond and each probe and step of its
-    rook search, not before each solve.  So the d + 1 lookups of the start
-    always run, and the bond in progress when the budget runs out finishes
-    its search and admission: at bond k that is at most
-    2 (r_{k-1} + r_{k+1} - r_k) - 2 <= 4 (r_max - 1) solves past n_max.
-    A run solves at most max(d + 1, n_max + 4 (r_max - 1)) indices, plus
-    up to d for each re-anchor, whose restart is not checked either.
+    The budget is checked before each bond, each probe and step of its
+    rook search and each re-anchored restart, not before each solve.  So
+    the d + 1 lookups of the start always run, a restart (begun below
+    n_max) solves at most the d flips of its network, and the bond in
+    progress when the budget runs out finishes its search and admission,
+    at bond k at most 2 (r_{k-1} + r_{k+1} - r_k) - 2 <= 4 (r_max - 1)
+    solves past n_max: a run solves at most
+    max(d + 1, n_max + max(d - 1, 4 (r_max - 1))) indices.  A run whose
+    budget is spent as it re-anchors ends "budget" with no interpolant, as
+    its old one is on the old scale: no ranks, no tensor, no harvest.
     """
     memo = objective if hasattr(objective, "n_evaluations") else Memo(objective)
     g0 = tuple(int(b) for b in g0)
@@ -655,7 +659,7 @@ def cross_optimize(objective, d: int, g0, config: CrossConfig,
 
     def result(termination, interp):
         try:
-            tensor = interp.tensor_train()
+            tensor = None if interp is None else interp.tensor_train()
         except np.linalg.LinAlgError:
             tensor = None
         if (tensor is not None and tensor.d <= ARGMAX_ENUM_LIMIT
@@ -667,7 +671,7 @@ def cross_optimize(objective, d: int, g0, config: CrossConfig,
         g_best, v = best()
         return CrossResult(g_max=g_best, value=v, n_evaluations=spent(),
                            termination=termination, history=history,
-                           ranks=interp.ranks(), tensor=tensor)
+                           ranks=[] if interp is None else interp.ranks(), tensor=tensor)
 
     interp = None
     sweeps_done = 0
@@ -709,3 +713,5 @@ def cross_optimize(objective, d: int, g0, config: CrossConfig,
             # re-anchor: restart from the best network, whose target is 1
             temper = TemperConfig(tau=tau, log_shift=ll_best)
             interp = None
+            if spent() >= config.n_max:
+                return result("budget", None)

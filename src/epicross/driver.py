@@ -224,13 +224,14 @@ class ExperimentConfig:
     truth_bits: str | None = None
 
     def __post_init__(self):
-        # check temperatures and cross settings before any dataset is simulated
+        # check temperatures, cross settings and truth before any dataset is simulated
         self.taus = tuple(TemperConfig(t).tau for t in self.taus)
         if not self.taus:
             raise ValueError("need at least one temperature")
         if self.n_datasets < 1:
             raise ValueError("need at least one dataset")
         self.cross_config(self.base_seed)
+        self.truth  # raises on a bad truth_bits
 
     @property
     def params(self) -> EpidemicParams:

@@ -7,12 +7,12 @@ column: (g_12, g_13, g_23, g_14, g_24, g_34, ...).  Epidemic states live on
 sits in the least significant bit.
 
 Transition probabilities come from one routine, transition_columns: the
-uniformized columns of exp(Q dt) for chosen source states, with a checked
-relative error bound on the entries the caller names.  A solve builds no
-scipy matrix: the generator is a value vector on a sparsity pattern shared
-by every network of N nodes, and each series term is scipy's CSC kernel
-run into reused buffers.  A large block of columns is split between the
-caller and one helper process, with the same bytes as the serial series.
+entries of exp(Q dt) the caller names, from uniformized columns, each with
+a checked relative error bound.  A solve builds no scipy matrix: the
+generator is a value vector on a sparsity pattern shared by every network
+of N nodes, and each series term is scipy's CSC kernel run into reused
+buffers.  A large block of columns is split between the caller and one
+helper process, with the same bytes as the serial series.
 
 Importing this module loads numpy, the top-level scipy package and one
 compiled module of scipy.sparse, its CSC kernels (_load_sparsetools), but
@@ -310,18 +310,17 @@ INNER_TARGET = RTOL * np.finfo(float).tiny  # neglected mass of inner substeps
 SPLIT_MIN_WORK = 20_000
 
 
-def transition_columns(rate: RateMatrix, dt: float, cols,
-                       entries=None) -> np.ndarray:
-    """Selected columns of exp(Q dt) by uniformization, with a checked bound.
+def transition_columns(rate: RateMatrix, dt: float, cols, entries) -> np.ndarray:
+    """Named entries of exp(Q dt) by uniformization, with a checked bound.
 
-    The jump chain P = I + Q/lam, lam the largest exit rate, is applied to
-    indicator vectors and summed with Poisson(lam dt) weights.  All terms
-    are nonnegative, so the neglected Poisson mass, bounded from the next
-    weight by w_{j+1} / (1 - mu/(j+2)), bounds the error of every entry.
-    `entries`, index arrays (rows, positions into `cols`), names the
-    entries the caller needs; the series stops once the neglected mass is
-    at most RTOL times the smallest of them (RTOL absolute without
-    `entries`).  A named entry still exactly zero after 2N terms (N nodes)
+    `entries`, index arrays (rows, pos), names the entries the caller
+    needs: returns p with p[i] = exp(Q dt)[rows[i], cols[pos[i]]].  The
+    jump chain P = I + Q/lam, lam the largest exit rate, is applied to the
+    indicator vectors of `cols` and summed with Poisson(lam dt) weights.
+    All terms are nonnegative, so the neglected Poisson mass, bounded from
+    the next weight by w_{j+1} / (1 - mu/(j+2)), bounds the error of every
+    entry; the series stops once it is at most RTOL times the smallest
+    named entry.  A named entry still exactly zero after 2N terms (N nodes)
     is structural, as every state is at most 2N flips away, and stays zero.
     Large lam dt is split into substeps of mean <= 200; all but the last
     run to RTOL times the smallest normal double.  Missing the bound within
@@ -333,8 +332,8 @@ def transition_columns(rate: RateMatrix, dt: float, cols,
     propagates the first; the result is byte for byte the serial one.
     """
     cols, series = _prepare(rate, dt, cols)
-    if series is None:
-        return _indicators(rate.dim, cols)
+    if series is None:  # exp(Q dt) = I
+        return (cols[entries[1]] == entries[0]).astype(float)
     if rate.dim * cols.size >= SPLIT_MIN_WORK and _cpus() > 1:
         split = _split_block(series, cols, entries)
         if split is not None:
@@ -379,12 +378,6 @@ def _prepare(rate: RateMatrix, dt: float, cols) -> tuple[np.ndarray, _Series | N
     return cols, _Series(indptr, indices, data, lam * dt / n_sub, n_sub, 2 * n)
 
 
-def _indicators(dim: int, cols: np.ndarray) -> np.ndarray:
-    v = np.zeros((dim, cols.size))
-    v[cols, np.arange(cols.size)] = 1.0
-    return v
-
-
 def _block(series: _Series, cols: np.ndarray, entries,
            agree=None) -> tuple[np.ndarray, bool]:
     """The series of transition_columns on one block of source columns.
@@ -393,8 +386,8 @@ def _block(series: _Series, cols: np.ndarray, entries,
     so a block's sums are bit for bit those columns of the whole.  Only the
     last substep's stopping index j depends on the columns: at the first j
     where this block's test holds, `agree(j)` returns the index to stop at
-    instead (j itself without `agree`).  Returns the sums and whether the
-    test holds at the index stopped at.
+    instead (j itself without `agree`).  Returns the named entries of the
+    sums and whether the test holds at the index stopped at.
 
     Each term is written by scipy's private CSC kernel
     `_sparsetools.csc_matvecs` into one of two reused, zero-filled buffers
@@ -405,7 +398,8 @@ def _block(series: _Series, cols: np.ndarray, entries,
     """
     indptr, indices, data, mu, n_sub, min_terms = series
     dim = indptr.size - 1
-    v = _indicators(dim, cols)
+    v = np.zeros((dim, cols.size))  # the indicator vectors of cols
+    v[cols, np.arange(cols.size)] = 1.0
     # the two alternating terms and the weighted-term scratch, flat
     bufs = (np.empty(v.size), np.empty(v.size))
     scratch = np.empty(v.size)
@@ -428,7 +422,7 @@ def _block(series: _Series, cols: np.ndarray, entries,
                     target = INNER_TARGET
                 else:
                     target = RTOL - lost
-                    if entries is not None and tail <= target:
+                    if tail <= target:
                         p = acc[entries]
                         if terms + j >= min_terms:
                             p = p[p > 0.0]
@@ -454,7 +448,7 @@ def _block(series: _Series, cols: np.ndarray, entries,
         lost += tail
         terms += j
         v = acc
-    return v, held
+    return v[entries], held
 
 
 # -- the split ----------------------------------------------------------------
@@ -483,7 +477,7 @@ def _cpus() -> int:
 
 
 def _split_block(series: _Series, cols: np.ndarray, entries) -> np.ndarray | None:
-    """The series with the second half of `cols` propagated by the helper.
+    """The named entries, the second half of `cols` propagated by the helper.
 
     Returns None, and the caller runs the series serially, when the helper
     is busy (another thread's solve), cannot start or has died.  An
@@ -498,19 +492,13 @@ def _split_block(series: _Series, cols: np.ndarray, entries) -> np.ndarray | Non
         pid, conn = helper
         _keep_apart(pid)
         half = cols.size // 2
-        if entries is None:
-            mine = theirs = None
-        else:
-            rows, pos = (np.asarray(a) for a in entries)
-            first = pos < half
-            mine, theirs = (rows[first], pos[first]), (rows[~first], pos[~first] - half)
+        rows, pos = (np.asarray(a) for a in entries)
+        first = pos < half
+        mine, theirs = (rows[first], pos[first]), (rows[~first], pos[~first] - half)
         try:
             conn.send((series, cols[half:], theirs))
-            acc, held = _block(series, cols[:half], mine, lambda j: _agree(conn, j))
-            held_theirs = _receive(conn)
-            # as raw bytes: passing a pickled array costs several times more
-            acc_theirs = np.empty((acc.shape[0], cols.size - half))
-            conn.recv_bytes_into(memoryview(acc_theirs).cast("B"))
+            p_mine, held = _block(series, cols[:half], mine, lambda j: _agree(conn, j))
+            p_theirs, held_theirs = _receive(conn)
         except (EOFError, OSError):  # the helper has died
             _stop_helper()
             return None
@@ -521,7 +509,9 @@ def _split_block(series: _Series, cols: np.ndarray, entries) -> np.ndarray | Non
         _helper_lock.release()
     if not (held and held_theirs):
         return None
-    return np.concatenate((acc, acc_theirs), axis=1)
+    p = np.empty(rows.shape)
+    p[first], p[~first] = p_mine, p_theirs
+    return p
 
 
 def _keep_apart(pid: int) -> None:
@@ -592,12 +582,10 @@ def _serve(conn) -> None:
         except EOFError:
             return
         try:
-            acc, held = _block(series, cols, entries, agree)
+            reply = _block(series, cols, entries, agree)  # (named entries, held)
         except Exception as exc:  # raised again in the caller
-            conn.send(exc)
-            continue
-        conn.send(held)
-        conn.send_bytes(acc)
+            reply = exc
+        conn.send(reply)
 
 
 def _stop_helper() -> None:

@@ -39,12 +39,10 @@ def log_likelihood(g: AdjacencyVector, data: Trajectory,
     """
     if g.n_nodes != data.n_nodes:
         raise ValueError(f"network has {g.n_nodes} nodes, data has {data.n_nodes}")
-    if data.n_steps == 0:
-        return 0.0
     rate = build_generator(g, params)
     total = 0.0
     for dt, sources, entries, counts in data.step_groups:
-        p = transition_columns(rate, dt, sources, entries)[entries]
+        p = transition_columns(rate, dt, sources, entries)
         if np.any(p <= 0.0):
             return -math.inf
         total += float(counts @ np.log(p))

@@ -235,3 +235,14 @@ def test_bad_arguments_exit(tmp_path):
                                  ("--sweeps", "0", "max_sweeps must be >= 1")):
         with pytest.raises(SystemExit, match=f"^infer: {message}, got"):
             main(["infer", *args, flag, value])
+    # so does a bad experiment config, before anything is written
+    base = '{"n_nodes": 3, "beta": 1, "gamma": 0.5, "eps": 0.05, "dt": 0.1, "t_max": 5'
+    cfg, out = tmp_path / "bad.json", tmp_path / "exp"
+    for extra, message in ((', "colour": 1}', r"unknown config keys: \['colour'\]"),
+                           (', "taus": [0]}', "tau must be finite and positive"),
+                           (', "r_max": 0}', "r_max must be >= 1"), (",", "Expecting"),
+                           (', "truth_bits": "1"}', "truth_bits does not match n_nodes")):
+        cfg.write_text(base + extra)
+        with pytest.raises(SystemExit, match=f"^experiment: {message}"):
+            main(["experiment", "--config", str(cfg), "--out", str(out)])
+        assert not out.exists()

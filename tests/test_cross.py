@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,10 @@ def dense_cross_approx(matrix, rows, cols):
 def random_tensor_fn(rng, d, low=0.5, high=1.5):
     table = rng.uniform(low, high, size=(2,) * d)
     return lambda bits: float(table[bits]), table
+
+
+def budget_bound(d, cfg):  # the most solves of a cross_optimize run
+    return max(d + 1, cfg.n_max + max(d - 1, 4 * (cfg.r_max - 1)))
 
 
 def all_bits(d):
@@ -602,22 +607,16 @@ class TestCrossOptimize:
         assert (results[0].n_evaluations == results[1].n_evaluations
                 == results[2].n_evaluations)
 
-    def test_each_index_solved_at_most_once(self, monkeypatch):
+    def test_each_index_solved_at_most_once(self):
         # however often crossing fibers ask for an entry, the function
         # behind the memo is solved once per index, within a run and across
         # runs sharing one memo, and the counters count exactly those solves;
         # at tau 1e-3 the logs (spread over 2.3) overflow, so the third run
         # on a shared memo re-anchors.  Each run stays within the budget's
-        # bound: max(d + 1, n_max + 4 (r_max - 1)) solves, plus d for each
-        # re-anchor, counted here as the starts after the first
-        starts = []
-        monkeypatch.setattr(cross, "CrossInterpolant",
-                            lambda *args: starts.append(args) or CrossInterpolant(*args))
-
+        # bound, re-anchored or not
         def solves(objective, g0, cfg, tau=None):
-            starts.clear()
             n = cross_optimize(objective, d, g0, cfg, tau=tau).n_evaluations
-            assert n <= max(d + 1, cfg.n_max + 4 * (cfg.r_max - 1)) + d * (len(starts) - 1)
+            assert n <= budget_bound(d, cfg)
             return n
 
         rng = np.random.default_rng(75)
@@ -643,6 +642,27 @@ class TestCrossOptimize:
                 assert sum(runs) == memo.n_evaluations
             assert max(calls.values()) == 1
             assert sum(calls.values()) == sum(runs)
+
+    def test_reanchor_respects_budget(self):
+        # at tau 1e-3 the logs (spread over 4.6) overflow and re-anchor
+        # most runs, some with the budget spent: those end there, with no
+        # interpolant and the best network on the new scale
+        rng, at_budget = np.random.default_rng(89), 0
+        for trial in range(300):
+            d = int(rng.integers(3, 11))
+            logs = rng.uniform(math.log(0.01), 0.0, size=(2,) * d)
+            g0 = tuple(int(b) for b in rng.integers(0, 2, d))
+            cfg = CrossConfig(r_max=int(rng.integers(1, 6)),
+                              n_max=int(rng.integers(5, 40)), seed=trial,
+                              max_sweeps=int(rng.integers(1, 6)))
+            memo = Memo(lambda bits, logs=logs: float(logs[bits]))
+            res = cross_optimize(memo, d, g0, cfg, tau=1e-3)
+            assert res.n_evaluations <= budget_bound(d, cfg)
+            if res.ranks == []:
+                assert (res.termination, res.tensor, res.value) == ("budget", None, 1.0)
+                assert res.n_evaluations >= cfg.n_max and res.g_max == memo.argmax()[0]
+                at_budget += 1
+        assert at_budget > 0
 
     def test_tau_tempers_log_values(self):
         # the tempered run on log values follows the same pivots as the
@@ -798,6 +818,15 @@ class TestTensorTrain:
         # constant tensor: every entry ties, smallest index must win
         tt = TensorTrain([np.ones((1, 2, 1))] * 4)
         assert tensor_argmax(tt) == (0, 0, 0, 0)
+
+    def test_argmax_ranks_nan_below_every_number(self):
+        # inf * 0 makes the entries with first bit 0 NaN, silently; the
+        # argmax is the largest number
+        tt = TensorTrain([np.array([[[np.inf, 1.0], [0.0, 3.0]]]),
+                          np.array([[[0.0], [0.0]], [[1.0], [2.0]]])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tensor_argmax(tt) == (1, 1)
 
     def test_argmax_respects_limit(self):
         tt = TensorTrain([np.ones((1, 2, 1))] * 21)

@@ -61,10 +61,16 @@ def coo_generator(g, params):
     return q.toarray()
 
 
+def every_entry(rate, dt, cols):
+    """exp(Q dt)[:, cols] from transition_columns, every entry named."""
+    rows, pos = np.indices((rate.dim, len(cols))).reshape(2, -1)
+    return transition_columns(rate, dt, cols, (rows, pos)).reshape(rate.dim, len(cols))
+
+
 def reference_columns(rate, dt, cols, entries):
     """One-substep uniformization (lam dt <= 200) with the jump matrix built
     as a scipy csc_array q / lam plus setdiag, stopping as
-    transition_columns does."""
+    transition_columns does; returns the named entries."""
     _, indices, indptr, _, _ = epidemic._generator_pattern(rate.dim.bit_length() - 1)
     q = sparse.csc_array((rate.data, indices, indptr), shape=(rate.dim, rate.dim))
     lam = float((-q.diagonal()).max())
@@ -85,7 +91,7 @@ def reference_columns(rate, dt, cols, entries):
                 p = p[p > 0.0]
             target = epidemic.RTOL * p.min(initial=1.0)
         if 0.0 < target and tail <= target:
-            return acc
+            return acc[entries]
         term = jump @ term
         w = w_next
         acc += w * term
@@ -310,7 +316,7 @@ class TestTransitionMatrix:
             dt = float(rng.uniform(0.05, 2.0))
             dense = expm(dense_generator(q) * dt)
             cols = rng.choice(q.dim, size=min(5, q.dim), replace=False)
-            approx = transition_columns(q, dt, cols)
+            approx = every_entry(q, dt, cols)
             np.testing.assert_allclose(approx, dense[:, cols], atol=1e-10)
 
     def test_uniformization_long_interval_substeps(self):
@@ -319,7 +325,7 @@ class TestTransitionMatrix:
         q = build_generator(g, p)
         dt = 60.0  # forces the Poisson mean above one substep
         dense = expm(dense_generator(q) * dt)
-        approx = transition_columns(q, dt, np.arange(q.dim))
+        approx = every_entry(q, dt, np.arange(q.dim))
         np.testing.assert_allclose(approx, dense, atol=1e-9)
 
     def test_uniformization_relative_bound_on_named_entries(self):
@@ -329,22 +335,23 @@ class TestTransitionMatrix:
         q = build_generator(AdjacencyVector.empty(8), p)
         rate = p.eps + p.gamma
         exact = (p.eps / rate * -math.expm1(-rate * 0.01)) ** 8
-        cols = transition_columns(q, 0.01, [0], (np.array([q.dim - 1]), np.array([0])))
-        assert cols[q.dim - 1, 0] == pytest.approx(exact, rel=1e-11)
+        p = transition_columns(q, 0.01, [0], (np.array([q.dim - 1]), np.array([0])))
+        assert p.shape == (1,)
+        assert p[0] == pytest.approx(exact, rel=1e-11)
 
     def test_uniformization_raises_when_bound_unmet(self, monkeypatch):
         q = build_generator(chain_network(3), EpidemicParams(1.0, 0.5, 0.01))
         monkeypatch.setattr(epidemic, "MAX_TERMS", 3)
         with pytest.raises(ArithmeticError):
-            transition_columns(q, 1.0, [0])
+            every_entry(q, 1.0, [0])
 
     def test_uniformization_structural_zero(self):
         # eps = 0 and no edges: state 0 never leaves, after any number of terms
         q = build_generator(AdjacencyVector.empty(3), EpidemicParams(1.0, 0.5, 0.0))
-        cols = transition_columns(q, 0.5, [0, 7], (np.array([1, 0]), np.array([0, 1])))
-        assert cols[1, 0] == 0.0
-        assert cols[0, 0] == pytest.approx(1.0, abs=1e-12)
-        assert cols[0, 1] > 0.0
+        p = transition_columns(q, 0.5, [0, 7], (np.array([1, 0, 0]), np.array([0, 0, 1])))
+        assert p[0] == 0.0
+        assert p[1] == pytest.approx(1.0, abs=1e-12)
+        assert p[2] > 0.0
 
     def test_columns_bit_identical_to_scipy_jump_matrix(self):
         rng = np.random.default_rng(17)
@@ -393,8 +400,8 @@ def run_child(script, timeout=120):
 
 def split_cases():
     """26 random blocks of N = 7..9 nodes: eps = 0 and beta = 0 rates,
-    blocks with and without named entries, all named entries in one half,
-    and one interval of lam dt > 200."""
+    blocks with a few named entries and with every entry named, all named
+    entries in one half, and one interval of lam dt > 200."""
     rng = np.random.default_rng(31)
     for trial in range(26):
         n = 7 + trial % 3
@@ -415,7 +422,9 @@ def split_cases():
             pos = pos % (n_cols // 2)  # the second block names no entry
         if trial == 9:
             pos = n_cols // 2 + pos % (n_cols - n_cols // 2)  # nor the first
-        yield rate, dt, cols, None if trial % 5 == 3 else (rows, pos)
+        if trial % 5 == 3:
+            rows, pos = np.indices((rate.dim, n_cols)).reshape(2, -1)
+        yield rate, dt, cols, (rows, pos)
 
 
 class TestSplit:
@@ -427,7 +436,7 @@ class TestSplit:
             assert split is not None
             assert split.tobytes() == serial.tobytes()
             assert transition_columns(rate, dt, cols, entries).tobytes() == serial.tobytes()
-            if entries is not None and series.n_sub == 1:
+            if series.n_sub == 1:
                 want = reference_columns(rate, dt, cols, entries)
                 assert split.tobytes() == want.tobytes()
 
@@ -558,7 +567,8 @@ rate = build_generator(chain_network(3), EpidemicParams(1.0, 0.5, 0.1))
 _, indices, indptr, _, _ = _generator_pattern(3)
 q = scipy.sparse.csc_array((rate.data, indices, indptr), shape=(8, 8))
 probs = expm(q.toarray() * 0.4)
-got = transition_columns(rate, 0.4, [0, 5])
+rows, pos = np.indices((8, 2)).reshape(2, -1)
+got = transition_columns(rate, 0.4, [0, 5], (rows, pos)).reshape(8, 2)
 assert np.allclose(got, probs[:, [0, 5]], rtol=0.0, atol=1e-12)
 print("ok")
 """
