@@ -17,6 +17,7 @@ from .epidemic import (
 from .likelihood import log_likelihood
 from .cross import CrossConfig, TemperConfig, save_tt_cores
 from .driver import (
+    CapacityError,
     ExperimentConfig,
     brute_force_mle,
     likelihood_memo,
@@ -98,12 +99,9 @@ def _resolve_cli_init(choice: str, n_nodes: int):
 
 
 def _cmd_infer(args) -> int:
-    try:
-        TemperConfig(args.tau)
-        config = CrossConfig(r_max=args.rank_max, n_max=args.budget, seed=args.seed,
-                             max_sweeps=args.sweeps)
-    except ValueError as exc:
-        raise SystemExit(f"infer: {exc}") from None
+    TemperConfig(args.tau)  # bad settings fail before the data is read
+    config = CrossConfig(r_max=args.rank_max, n_max=args.budget, seed=args.seed,
+                         max_sweeps=args.sweeps)
     data = read_trajectory(args.data)
     truth = read_network(args.truth) if args.truth else None
     init = _resolve_cli_init(args.init, data.n_nodes)
@@ -127,10 +125,7 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    try:
-        config = ExperimentConfig.from_json(args.config)
-    except ValueError as exc:  # malformed JSON too
-        raise SystemExit(f"experiment: {exc}") from None
+    config = ExperimentConfig.from_json(args.config)  # checked before anything is written
     out = run_experiment(config, args.out)
     n_runs = sum(len(v) for v in out["runs"].values())
     print(f"{n_runs} runs -> {args.out}")
@@ -197,7 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, CapacityError) as exc:  # malformed JSON too
+        raise SystemExit(f"{args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -10,7 +10,10 @@ and aggregates error statistics.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -198,6 +201,11 @@ def run_inference(data: Trajectory, params: EpidemicParams, tau: float,
     )
 
 
+def _check_type(name: str, value, kind, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """Protocol for a batch of simulated-data inference runs.
@@ -224,7 +232,23 @@ class ExperimentConfig:
     truth_bits: str | None = None
 
     def __post_init__(self):
-        # check temperatures, cross settings and truth before any dataset is simulated
+        # check every field before any dataset is simulated or file written
+        for name in ("n_nodes", "n_datasets", "base_seed", "r_max", "n_max", "max_sweeps"):
+            if name != "max_sweeps" or self.max_sweeps is not None:
+                _check_type(name, getattr(self, name), numbers.Integral, "an integer")
+        for name in ("beta", "gamma", "eps", "dt", "t_max"):
+            _check_type(name, getattr(self, name), numbers.Real, "a number")
+        if (isinstance(self.taus, str) or not isinstance(self.taus, Sequence)
+                or any(isinstance(t, bool) or not isinstance(t, numbers.Real)
+                       for t in self.taus)):
+            raise ValueError(f"taus must be a list of temperatures, got {self.taus!r}")
+        if self.init not in ("score", "zero"):
+            raise ValueError(f"init must be 'score' or 'zero', got {self.init!r}")
+        if self.truth_bits is not None:
+            _check_type("truth_bits", self.truth_bits, str, "a 01-string")
+        self.params  # raises on a bad rate
+        if not 0 < self.dt <= self.t_max < math.inf:
+            raise ValueError(f"need 0 < dt <= t_max < inf, got dt={self.dt}, t_max={self.t_max}")
         self.taus = tuple(TemperConfig(t).tau for t in self.taus)
         if not self.taus:
             raise ValueError("need at least one temperature")

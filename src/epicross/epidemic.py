@@ -11,8 +11,9 @@ entries of exp(Q dt) the caller names, from uniformized columns, each with
 a checked relative error bound.  A solve builds no scipy matrix: the
 generator is a value vector on a sparsity pattern shared by every network
 of N nodes, and each series term is scipy's CSC kernel run into reused
-buffers.  A large block of columns is split between the caller and one
-helper process, with the same bytes as the serial series.
+buffers.  A large block of columns is run as two halves, each stopped on
+its own named entries, the second in one helper process where a second
+CPU allows: the bytes do not depend on where it runs.
 
 Importing this module loads numpy, the top-level scipy package and one
 compiled module of scipy.sparse, its CSC kernels (_load_sparsetools), but
@@ -305,8 +306,9 @@ def build_generator(g: AdjacencyVector, params: EpidemicParams) -> RateMatrix:
 RTOL = 1e-12          # relative accuracy of the entries transition_columns names
 MAX_TERMS = 2000      # series terms per substep before giving up on RTOL
 INNER_TARGET = RTOL * np.finfo(float).tiny  # neglected mass of inner substeps
-# states x columns from which a block is split between two processes: the
-# break-even of the exchange, 15 000 to 20 000 on a 2-vCPU machine
+# states x columns from which a block is run as two halves, each stopped on
+# its own entries, the second in the helper where it can: the break-even of
+# the exchange with the helper, 15 000 to 20 000 on a 2-vCPU machine
 SPLIT_MIN_WORK = 20_000
 
 
@@ -326,19 +328,19 @@ def transition_columns(rate: RateMatrix, dt: float, cols, entries) -> np.ndarray
     run to RTOL times the smallest normal double.  Missing the bound within
     MAX_TERMS terms of a substep raises ArithmeticError.
 
-    When the process may run on two or more CPUs and the block holds at
-    least SPLIT_MIN_WORK entries (states times columns), the second half
-    of the columns is propagated by a helper process while the caller
-    propagates the first; the result is byte for byte the serial one.
+    A block of at least SPLIT_MIN_WORK entries (states times columns) is
+    run as two blocks, the halves of `cols`, each stopped on its own named
+    entries, so every entry keeps its bound.  When the process may run on
+    two or more CPUs, a helper process propagates the second half while
+    the caller propagates the first; otherwise the caller runs both.  The
+    bytes are the same either way.
     """
     cols, series = _prepare(rate, dt, cols)
     if series is None:  # exp(Q dt) = I
         return (cols[entries[1]] == entries[0]).astype(float)
-    if rate.dim * cols.size >= SPLIT_MIN_WORK and _cpus() > 1:
-        split = _split_block(series, cols, entries)
-        if split is not None:
-            return split
-    return _block(series, cols, entries)[0]
+    if rate.dim * cols.size >= SPLIT_MIN_WORK:
+        return _halves(series, cols, entries)
+    return _block(series, cols, entries)
 
 
 class _Series(NamedTuple):
@@ -378,16 +380,9 @@ def _prepare(rate: RateMatrix, dt: float, cols) -> tuple[np.ndarray, _Series | N
     return cols, _Series(indptr, indices, data, lam * dt / n_sub, n_sub, 2 * n)
 
 
-def _block(series: _Series, cols: np.ndarray, entries,
-           agree=None) -> tuple[np.ndarray, bool]:
-    """The series of transition_columns on one block of source columns.
-
-    Columns never mix (each term is P applied to each column on its own),
-    so a block's sums are bit for bit those columns of the whole.  Only the
-    last substep's stopping index j depends on the columns: at the first j
-    where this block's test holds, `agree(j)` returns the index to stop at
-    instead (j itself without `agree`).  Returns the named entries of the
-    sums and whether the test holds at the index stopped at.
+def _block(series: _Series, cols: np.ndarray, entries) -> np.ndarray:
+    """The series of transition_columns on one block of source columns:
+    the named entries of its sums, stopped on those entries alone.
 
     Each term is written by scipy's private CSC kernel
     `_sparsetools.csc_matvecs` into one of two reused, zero-filled buffers
@@ -406,34 +401,26 @@ def _block(series: _Series, cols: np.ndarray, entries,
     lost = 0.0  # neglected mass of the finished substeps
     terms = 0   # jumps applied so far, over all substeps
     for s in range(n_sub):
-        last = s == n_sub - 1
         w = math.exp(-mu)
         term = v.reshape(-1)
         acc = w * v
         flat_acc = acc.reshape(-1)
-        stop = None  # the agreed stopping index of the last substep
         for j in range(MAX_TERMS + 1):
             # bound on sum_{i > j} w_i; the ratios w_{i+1}/w_i fall below
             # mu/(j+2) < 1 once j + 2 > mu
             w_next = w * mu / (j + 1)
             tail = w_next / (1.0 - mu / (j + 2)) if j + 2 > mu else math.inf
-            if stop is None or j == stop:
-                if not last:
-                    target = INNER_TARGET
-                else:
-                    target = RTOL - lost
-                    if tail <= target:
-                        p = acc[entries]
-                        if terms + j >= min_terms:
-                            p = p[p > 0.0]
-                        target = RTOL * p.min(initial=1.0) - lost
-                held = 0.0 < target and tail <= target
-                if j == stop or (held and not last):
-                    break
-                if held:
-                    stop = j if agree is None else agree(j)
-                    if stop == j:
-                        break
+            if s < n_sub - 1:
+                target = INNER_TARGET
+            else:
+                target = RTOL - lost
+                if tail <= target:
+                    p = acc[entries]
+                    if terms + j >= min_terms:
+                        p = p[p > 0.0]
+                    target = RTOL * p.min(initial=1.0) - lost
+            if 0.0 < target and tail <= target:
+                break
             if j == MAX_TERMS:
                 raise ArithmeticError(
                     f"uniformization missed relative accuracy {RTOL:g} within "
@@ -448,26 +435,23 @@ def _block(series: _Series, cols: np.ndarray, entries,
         lost += tail
         terms += j
         v = acc
-    return v[entries], held
+    return v[entries]
 
 
-# -- the split ----------------------------------------------------------------
+# -- the halves ---------------------------------------------------------------
 #
-# The serial series stops at the first j where 0 < target and tail <= target,
-# target = RTOL * (smallest named entry) - lost.  The smallest entry over all
-# columns is the smaller of the blocks' smallest, so the serial test is the
-# AND of the block tests, and each block test, once true, stays true (the
-# tail falls, the sums only grow, the zero filter only raises the minimum).
-# So the serial index is the larger of the blocks' first indices, and both
-# blocks run on to it.  Each block checks its test again there, and a failed
-# check falls back to the serial series: the bytes never rest on that argument.
+# A large block is two blocks, the halves of its columns, each stopped on its
+# own named entries: the same bytes wherever the second half runs.  It runs
+# in one helper process while the caller runs the first half, or in the
+# caller after the first half when the process may run on one CPU only or the
+# helper is busy (another thread's solve), cannot start or has died.
 #
 # The helper is one forked process per process that splits.  It is started on
 # the first split, never while other threads run, and stopped (hung up on and
 # reaped) when it fails, when it dies and at exit; a forked child of the
 # caller drops the parent's and starts its own.
 
-_helper_lock = threading.Lock()  # one split at a time; a busy helper means serial
+_helper_lock = threading.Lock()  # one split at a time in the helper
 _helper = None  # (pid, connection) of this process's helper, once started
 
 
@@ -476,41 +460,38 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _split_block(series: _Series, cols: np.ndarray, entries) -> np.ndarray | None:
-    """The named entries, the second half of `cols` propagated by the helper.
-
-    Returns None, and the caller runs the series serially, when the helper
-    is busy (another thread's solve), cannot start or has died.  An
-    exception raised in the helper is raised here.
-    """
-    if not _helper_lock.acquire(blocking=False):
-        return None
-    try:
-        helper = _running_helper()
-        if helper is None:
-            return None
-        pid, conn = helper
-        _keep_apart(pid)
-        half = cols.size // 2
-        rows, pos = (np.asarray(a) for a in entries)
-        first = pos < half
-        mine, theirs = (rows[first], pos[first]), (rows[~first], pos[~first] - half)
+def _halves(series: _Series, cols: np.ndarray, entries) -> np.ndarray:
+    """The named entries, each half of `cols` run as a block of its own:
+    the second in the helper while the caller runs the first when it can,
+    else in the caller after the first.  An exception raised in the helper
+    is raised here."""
+    half = cols.size // 2
+    rows, pos = (np.asarray(a) for a in entries)
+    first = pos < half
+    mine = (series, cols[:half], (rows[first], pos[first]))
+    theirs = (series, cols[half:], (rows[~first], pos[~first] - half))
+    p = np.empty(rows.shape)
+    p_mine = None
+    if _cpus() > 1 and _helper_lock.acquire(blocking=False):
         try:
-            conn.send((series, cols[half:], theirs))
-            p_mine, held = _block(series, cols[:half], mine, lambda j: _agree(conn, j))
-            p_theirs, held_theirs = _receive(conn)
+            helper = _running_helper()
+            if helper is not None:
+                pid, conn = helper
+                _keep_apart(pid)
+                conn.send(theirs)
+                p[first] = p_mine = _block(*mine)
+                p[~first] = _receive(conn)
+                return p
         except (EOFError, OSError):  # the helper has died
             _stop_helper()
-            return None
         except BaseException:  # the helper may be mid-exchange: start afresh
             _stop_helper()
             raise
-    finally:
-        _helper_lock.release()
-    if not (held and held_theirs):
-        return None
-    p = np.empty(rows.shape)
-    p[first], p[~first] = p_mine, p_theirs
+        finally:
+            _helper_lock.release()
+    if p_mine is None:
+        p[first] = _block(*mine)
+    p[~first] = _block(*theirs)
     return p
 
 
@@ -527,13 +508,6 @@ def _keep_apart(pid: int) -> None:
         os.sched_setaffinity(pid, os.sched_getaffinity(0) - {cpu})
     except (OSError, ValueError, IndexError):
         pass  # nothing to read or no CPU to spare: the scheduler places it
-
-
-def _agree(conn, j: int) -> int:
-    """Stop both blocks at the later of their first stopping indices."""
-    stop = max(j, _receive(conn))
-    conn.send(stop)
-    return stop
 
 
 def _receive(conn):
@@ -572,17 +546,13 @@ def _running_helper():
 def _serve(conn) -> None:
     """The helper's loop: run each block it is sent until the caller hangs
     up (EOF here, or a broken pipe mid-exchange)."""
-    def agree(j):
-        conn.send(j)
-        return conn.recv()
-
     while True:
         try:
-            series, cols, entries = conn.recv()
+            block = conn.recv()  # (series, cols, entries)
         except EOFError:
             return
         try:
-            reply = _block(series, cols, entries, agree)  # (named entries, held)
+            reply = _block(*block)
         except Exception as exc:  # raised again in the caller
             reply = exc
         conn.send(reply)

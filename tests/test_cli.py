@@ -101,7 +101,7 @@ def test_brute_outputs(tmp_path, capsys):
 
 def test_brute_dlimit(tmp_path, data4):
     data, _ = data4
-    with pytest.raises(Exception):
+    with pytest.raises(SystemExit, match="^brute: 6 pair bits exceed the exhaustive limit 5"):
         main(["brute", "--data", str(data), *PARAMS, "--dlimit", "5",
               "--out", str(tmp_path / "r.json")])
 
@@ -241,8 +241,33 @@ def test_bad_arguments_exit(tmp_path):
     for extra, message in ((', "colour": 1}', r"unknown config keys: \['colour'\]"),
                            (', "taus": [0]}', "tau must be finite and positive"),
                            (', "r_max": 0}', "r_max must be >= 1"), (",", "Expecting"),
-                           (', "truth_bits": "1"}', "truth_bits does not match n_nodes")):
+                           (', "truth_bits": "1"}', "truth_bits does not match n_nodes"),
+                           (', "n_datasets": 1.5}', "n_datasets must be an integer, got 1.5"),
+                           (', "taus": 5}', "taus must be a list of temperatures, got 5"),
+                           (', "beta": -1}', "beta must be finite and nonnegative"),
+                           (', "dt": 0}', "need 0 < dt <= t_max < inf"),
+                           (', "init": "foo"}', "init must be 'score' or 'zero', got 'foo'"),
+                           (', "truth_bits": 101}', "truth_bits must be a 01-string, got 101")):
         cfg.write_text(base + extra)
         with pytest.raises(SystemExit, match=f"^experiment: {message}"):
             main(["experiment", "--config", str(cfg), "--out", str(out)])
         assert not out.exists()
+    # and so does a bad value met while a command runs
+    net3, net4, data3 = tmp_path / "n3.txt", tmp_path / "n4.txt", tmp_path / "d3.csv"
+    write_network(chain_network(3), net3)
+    write_network(chain_network(4), net4)
+    write_trajectory(ssa_simulate(chain_network(3), EP, 0.1, 5.0, NetworkState((1, 0, 0)),
+                                  seed=1), data3)
+    sim = ["simulate", "--network", str(net3), "--tmax", "5", "--out", str(tmp_path / "s.csv")]
+    for argv, message in (
+            ([*sim, *PARAMS, "--dt", "0"], "simulate: dt must be positive, got 0.0"),
+            ([*sim, *PARAMS, "--dt", "0.1", "--beta", "-1"],
+             "simulate: beta must be finite and nonnegative, got -1.0"),
+            (["loglik", "--data", str(data3), "--network", str(net4), *PARAMS],
+             "loglik: network has 4 nodes, data has 3"),
+            (["brute", "--data", str(data3), *PARAMS, "--dlimit", "2",
+              "--out", str(tmp_path / "b.json")],
+             "brute: 3 pair bits exceed the exhaustive limit 2")):
+        with pytest.raises(SystemExit, match=f"^{re.escape(message)}"):
+            main(argv)
+    assert not (tmp_path / "s.csv").exists() and not (tmp_path / "b.json").exists()

@@ -427,43 +427,77 @@ def split_cases():
         yield rate, dt, cols, (rows, pos)
 
 
+def halves_reference(rate, dt, cols, entries):
+    """reference_columns run on each half of `cols` on its own."""
+    half = len(cols) // 2
+    rows, pos = entries
+    first = pos < half
+    p = np.empty(rows.shape)
+    p[first] = reference_columns(rate, dt, cols[:half], (rows[first], pos[first]))
+    p[~first] = reference_columns(rate, dt, cols[half:], (rows[~first], pos[~first] - half))
+    return p
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let the helper run where the process may use only one CPU too."""
+    monkeypatch.setattr(epidemic, "_cpus", lambda: 2)
+
+
 class TestSplit:
-    def test_split_bit_identical_to_serial(self):
+    def test_split_bit_identical_to_serial(self, two_cpus):
+        # the helper's halves against the caller's, and each half against
+        # the reference series run on that half alone
         for rate, dt, cols, entries in split_cases():
             cols, series = epidemic._prepare(rate, dt, cols)
-            serial = epidemic._block(series, cols, entries)[0]
-            split = epidemic._split_block(series, cols, entries)
-            assert split is not None
+            split = epidemic._halves(series, cols, entries)
+            assert epidemic._helper is not None
+            with epidemic._helper_lock:  # the caller runs both halves
+                serial = epidemic._halves(series, cols, entries)
             assert split.tobytes() == serial.tobytes()
-            assert transition_columns(rate, dt, cols, entries).tobytes() == serial.tobytes()
+            large = rate.dim * cols.size >= epidemic.SPLIT_MIN_WORK
+            want = split if large else epidemic._block(series, cols, entries)
+            assert transition_columns(rate, dt, cols, entries).tobytes() == want.tobytes()
             if series.n_sub == 1:
-                want = reference_columns(rate, dt, cols, entries)
+                want = halves_reference(rate, dt, cols, entries)
                 assert split.tobytes() == want.tobytes()
 
-    def test_busy_or_dead_helper_runs_serially(self):
+    def test_split_within_bound_of_whole_block(self):
+        # both are the series stopped with at most RTOL relative mass left
+        # out of each named entry, so they differ by at most that, plus
+        # rounding
+        for rate, dt, cols, entries in split_cases():
+            cols, series = epidemic._prepare(rate, dt, cols)
+            with epidemic._helper_lock:
+                split = epidemic._halves(series, cols, entries)
+            whole = epidemic._block(series, cols, entries)
+            assert np.all((split == 0.0) == (whole == 0.0))
+            np.testing.assert_allclose(split, whole, rtol=2 * epidemic.RTOL + 1e-14, atol=0.0)
+
+    def test_busy_or_dead_helper_runs_serially(self, two_cpus):
         rate, dt, cols, entries = big_case()
         cols, series = epidemic._prepare(rate, dt, cols)
-        serial = epidemic._block(series, cols, entries)[0]
+        want = epidemic._halves(series, cols, entries).tobytes()
+        helper = epidemic._helper[0]
         with epidemic._helper_lock:  # another thread's split in flight
-            assert epidemic._split_block(series, cols, entries) is None
-            assert transition_columns(rate, dt, cols, entries).tobytes() == serial.tobytes()
-        assert epidemic._split_block(series, cols, entries) is not None
-        os.kill(epidemic._helper[0], signal.SIGKILL)
-        assert epidemic._split_block(series, cols, entries) is None
+            assert transition_columns(rate, dt, cols, entries).tobytes() == want
+        os.kill(helper, signal.SIGKILL)
+        assert epidemic._halves(series, cols, entries).tobytes() == want
         assert epidemic._helper is None  # reaped
-        split = epidemic._split_block(series, cols, entries)  # a new helper
-        assert split is not None and split.tobytes() == serial.tobytes()
+        assert epidemic._halves(series, cols, entries).tobytes() == want
+        assert epidemic._helper[0] != helper  # a new helper
 
-    def test_helper_error_reaches_caller(self, monkeypatch):
+    def test_helper_error_reaches_caller(self, monkeypatch, two_cpus):
         rate, dt, cols, entries = big_case()
         cols, series = epidemic._prepare(rate, dt, cols)
         epidemic._stop_helper()
+        max_terms = epidemic.MAX_TERMS
         monkeypatch.setattr(epidemic, "MAX_TERMS", 3)
         try:
             assert epidemic._running_helper() is not None  # forked with 3 terms
-            monkeypatch.undo()
+            monkeypatch.setattr(epidemic, "MAX_TERMS", max_terms)
             with pytest.raises(ArithmeticError, match="within 3 terms"):
-                epidemic._split_block(series, cols, entries)
+                epidemic._halves(series, cols, entries)
         finally:
             epidemic._stop_helper()
 
@@ -474,18 +508,20 @@ class TestSplit:
         script = BIG_CASE + """
 import os, sys
 from epicross import epidemic
+epidemic._cpus = lambda: 2
 cols, series = epidemic._prepare(rate, dt, cols)
-want = epidemic._block(series, cols, entries)[0].tobytes()
-assert epidemic._split_block(series, cols, entries).tobytes() == want
+with epidemic._helper_lock:
+    want = epidemic._halves(series, cols, entries).tobytes()
+assert epidemic._halves(series, cols, entries).tobytes() == want
 helper = epidemic._helper[0]
 pid = os.fork()
 if pid == 0:
     ok = epidemic._helper is None
-    ok = ok and epidemic._split_block(series, cols, entries).tobytes() == want
+    ok = ok and epidemic._halves(series, cols, entries).tobytes() == want
     ok = ok and epidemic._helper[0] != helper
     sys.exit(0 if ok else 1)
 assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-assert epidemic._split_block(series, cols, entries).tobytes() == want
+assert epidemic._halves(series, cols, entries).tobytes() == want
 assert epidemic._helper[0] == helper
 print(helper)
 """
@@ -495,7 +531,7 @@ print(helper)
             os.kill(int(proc.stdout.split()[-1]), 0)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
-    def test_one_cpu_runs_serially(self):
+    def test_one_cpu_runs_serially(self, two_cpus):
         script = """
 import hashlib, os
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
@@ -507,9 +543,54 @@ print(epidemic._helper is None, hashlib.sha256(out.tobytes()).hexdigest())
         proc = run_child(script)
         assert proc.returncode == 0, proc.stderr
         rate, dt, cols, entries = big_case()
-        cols, series = epidemic._prepare(rate, dt, cols)
-        split = epidemic._split_block(series, cols, entries)
+        split = transition_columns(rate, dt, cols, entries)
+        assert epidemic._helper is not None
         assert proc.stdout.split() == ["True", hashlib.sha256(split.tobytes()).hexdigest()]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="no CPU affinity or a single CPU")
+    def test_one_cpu_run_matches_two(self):
+        # a capped flagship-protocol run (9-node chain, 2000 steps of dt
+        # 0.1, tau 1, rank cap 5, 60 solves, 4 sweeps) on one CPU and on
+        # this process's CPUs, with the helper
+        script = """
+import os
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+""" + FLAGSHIP_RUN + """
+from epicross import epidemic
+print(epidemic._helper is None)
+print(summary(result))
+"""
+        proc = run_child(script, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        epidemic._stop_helper()
+        ns = {}
+        exec(FLAGSHIP_RUN, ns)
+        assert epidemic._helper is not None
+        assert proc.stdout.splitlines() == ["True", ns["summary"](ns["result"])]
+
+
+# A capped run of the flagship protocol, as code that a child interpreter can
+# run too: the benchmark's first chain9_flagship input of seed 1, whose
+# sweep-1 max_error moves in its last bits when a solve is not split in
+# halves.  summary() renders what must not depend on where the halves run.
+FLAGSHIP_RUN = """
+import json
+from epicross.cross import CrossConfig
+from epicross.driver import run_inference
+from epicross.epidemic import EpidemicParams, NetworkState, chain_network, ssa_simulate
+params = EpidemicParams(1.0, 0.5, 0.01)
+data = ssa_simulate(chain_network(9), params, 0.1, 200.0,
+                    NetworkState((1,) + (0,) * 8), seed=100)
+result = run_inference(data, params, 1.0,
+                       CrossConfig(r_max=5, n_max=60, seed=1_000_100, max_sweeps=4))
+
+def summary(r):
+    history = [{k: v for k, v in rec.items() if k != "cpu_seconds"} for rec in r.history]
+    return json.dumps([r.n_eval, r.cache_hits, r.g_max.bitstring, r.loglik.hex(),
+                       r.termination, history])
+"""
 
 
 # How a child interpreter imports epicross: after scipy.sparse, before it,

@@ -176,7 +176,8 @@ class TestLogLikelihood:
 
     def test_solve_builds_no_scipy_matrix(self, monkeypatch):
         # a solve fills plain arrays and calls the sparse kernel on them; the
-        # 9-node trajectory's 92 source states take the split path
+        # 9-node trajectory's 92 source states are run as two halves, one in the
+        # helper, with the bytes of the caller running both
         small = ssa_simulate(chain_network(4), REF_PARAMS, 0.1, 20.0,
                              NetworkState((1, 0, 0, 0)), seed=4)
         big = ssa_simulate(chain_network(9), EpidemicParams(1.0, 0.5, 0.2), 0.1, 30.0,
@@ -188,18 +189,19 @@ class TestLogLikelihood:
             raise AssertionError("a likelihood solve built a scipy matrix")
 
         splits = []
-        split_block = epidemic._split_block
+        halves = epidemic._halves
 
         def spy(*args):
-            splits.append(split_block(*args))
+            splits.append(halves(*args))
             return splits[-1]
 
         monkeypatch.setattr(scipy.sparse, "csc_array", no_matrix)
-        monkeypatch.setattr(epidemic, "_split_block", spy)
+        monkeypatch.setattr(epidemic, "_halves", spy)
         monkeypatch.setattr(epidemic, "_cpus", lambda: 2)
+        epidemic._stop_helper()
         assert math.isfinite(log_likelihood(chain_network(4), small, REF_PARAMS))
         assert log_likelihood(chain_network(9), big, REF_PARAMS) == serial
-        assert splits and all(s is not None for s in splits)
+        assert splits and epidemic._helper is not None
 
 
 class TestTempering:
