@@ -194,7 +194,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, CapacityError) as exc:  # malformed JSON too
+    except (ValueError, CapacityError, OSError) as exc:  # malformed JSON, unreadable files
         raise SystemExit(f"{args.command}: {exc}") from None
 
 

@@ -118,6 +118,7 @@ class Memo:
             self._best, self._best_value = key, value
 
     def lookup(self, bits) -> float | None:
+        """Stored value of an index, or None; solves and counts nothing."""
         return self._values.get(bits)
 
     def argmax(self) -> tuple:
@@ -591,14 +592,21 @@ class CrossResult:
     tensor: TensorTrain | None
 
 
+def _one_flip_maximum(memo, g) -> bool:
+    """Every index one bit flip from g is stored in the memo; with g the
+    memo's argmax, none of them is then better.  Solves nothing."""
+    return all(memo.lookup(g[:k] + (1 - g[k],) + g[k + 1:]) is not None
+               for k in range(len(g)))
+
+
 def cross_optimize(objective, d: int, g0, config: CrossConfig,
                    tau: float | None = None) -> CrossResult:
     """Maximize a function on {0,1}^d by greedy cross sweeps.
 
     `objective` is called once per entry lookup.  A bare callable on index
-    tuples is wrapped in a Memo; an object with the Memo counters and
-    argmax (a Memo, or anything forwarding to one) is used as it is, so one
-    memo can serve several runs.  The n_max budget, the result's
+    tuples is wrapped in a Memo; an object with the Memo counters, argmax
+    and lookup (a Memo, or anything forwarding to one) is used as it is, so
+    one memo can serve several runs.  The n_max budget, the result's
     n_evaluations and the history count this run's own solves.  With tau
     None the values are maximized as they are; otherwise tau is checked
     before anything is solved, the values are log-likelihoods and the
@@ -616,8 +624,13 @@ def cross_optimize(objective, d: int, g0, config: CrossConfig,
     no residual left on any searched bond ("converged"), every bond capped or
     saturated ("rank_saturated"), a sweep admitting no pivot ("stalled"),
     the evaluation budget ("budget") or the sweep cap ("max_sweeps").  A
-    final interpolant with a singular cross matrix is neither exported nor
-    harvested.
+    sweep that none of these stops ends the run as "local_max" when it left
+    the memo's argmax at the previous sweep's g_max and all d single flips
+    of that index are in the memo: a one-flip maximum that a whole sweep
+    did not move.  That check solves nothing and draws nothing from the
+    rng, so the run's history is a prefix of the one it would have without
+    it.  A final interpolant with a singular cross matrix is neither
+    exported nor harvested.
 
     The budget is checked before each bond, each probe and step of its
     rook search and each re-anchored restart, not before each solve.  So
@@ -704,6 +717,10 @@ def cross_optimize(objective, d: int, g0, config: CrossConfig,
                 return result("rank_saturated", interp)
             if report.pivots_added == 0:
                 return result("stalled", interp)
+            if ((config.max_sweeps is None or sweeps_done < config.max_sweeps)
+                    and len(history) > 1 and history[-2].g_max == g_best
+                    and _one_flip_maximum(memo, g_best)):
+                return result("local_max", interp)
         except (OverflowError, np.linalg.LinAlgError):
             if temper is None:
                 raise

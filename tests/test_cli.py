@@ -271,3 +271,18 @@ def test_bad_arguments_exit(tmp_path):
         with pytest.raises(SystemExit, match=f"^{re.escape(message)}"):
             main(argv)
     assert not (tmp_path / "s.csv").exists() and not (tmp_path / "b.json").exists()
+
+
+def test_missing_file_exits_with_one_line(tmp_path, chain3):
+    # a file that cannot be read exits with `<command>: <message>`, not a
+    # traceback, and writes nothing
+    missing = tmp_path / "missing"
+    out = tmp_path / "out"
+    for argv in (["loglik", "--data", f"{missing}.csv", "--network", str(chain3), *PARAMS],
+                 ["experiment", "--config", f"{missing}.json", "--out", str(out)]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        message = str(info.value.code)
+        assert message.startswith(f"{argv[0]}: [Errno 2] No such file or directory")
+        assert str(missing) in message and "\n" not in message
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -747,6 +748,72 @@ class TestCrossOptimize:
         res = cross_optimize(lambda bits: values[bits], 2, (0, 0), cfg)
         assert res.g_max == (1, 1)
         assert res.value == 4.0
+
+
+class TestLocalMaxStop:
+    @staticmethod
+    def objective(rng, kind, d):
+        if kind == "tt":  # a random positive tensor train of rank 2-6
+            r = int(rng.integers(2, 7))
+            ranks = [1] + [r] * (d - 1) + [1]
+            return TensorTrain([rng.uniform(0.1, 1.0, size=(ranks[k], 2, ranks[k + 1]))
+                                for k in range(d)]).eval
+        w = rng.uniform(-1.0, 1.0, d)
+        if kind == "separable":  # exactly rank two
+            return lambda bits: d + float(np.dot(w, bits))
+        # separable in the log up to small noise, like the chain likelihoods
+        noise = rng.uniform(0.0, 0.05, size=(2,) * d)
+        return lambda bits: math.exp(float(np.dot(w, bits)) + noise[bits])
+
+    def test_stops_only_on_an_unmoved_one_flip_maximum(self, monkeypatch):
+        # a run ending local_max has sweeps identical to the run without
+        # the stop up to there, its last two sweeps share a g_max whose d
+        # flips are all stored and no better, and after the last sweep it
+        # solves at most the harvest's one index; any other run is the
+        # run without the stop
+        def record(rec):
+            return rec.sweep, rec.n_evaluations, rec.max_error, rec.g_max, rec.value
+
+        rng, stopped = np.random.default_rng(3), {None: 0, 1.0: 0}
+        for trial in range(240):
+            d = int(rng.integers(4, 11))
+            f = self.objective(rng, ("tt", "separable", "near")[trial % 3], d)
+            tau = (None, 1.0)[trial // 3 % 2]
+            fn = f if tau is None else (lambda bits, f=f: math.log(f(bits)))
+            g0 = tuple(int(b) for b in rng.integers(0, 2, d))
+            cfg = CrossConfig(r_max=int(rng.integers(2, 7)),
+                              n_max=int(rng.integers(50, 1000)), seed=trial,
+                              max_sweeps=(None, 3, 6)[trial % 3])
+            memo = Memo(fn)
+            res = cross_optimize(memo, d, g0, cfg, tau)
+            with monkeypatch.context() as m:
+                m.setattr(cross, "_one_flip_maximum", lambda memo, g: False)
+                full = cross_optimize(Memo(fn), d, g0, cfg, tau)
+            if res.termination != "local_max":
+                assert ([record(r) for r in res.history], res.n_evaluations, res.g_max,
+                        res.termination) == ([record(r) for r in full.history],
+                                             full.n_evaluations, full.g_max,
+                                             full.termination)
+                continue
+            stopped[tau] += 1
+            history = res.history
+            assert [record(r) for r in history] == [
+                record(r) for r in full.history[:len(history)]]
+            assert len(history) < len(full.history)
+            assert len(history) >= 2 and history[-1].g_max == history[-2].g_max
+            g = history[-1].g_max
+            for k in range(d):
+                flip = memo.lookup(g[:k] + (1 - g[k],) + g[k + 1:])
+                assert flip is not None and flip <= memo.lookup(g)
+            assert res.n_evaluations <= history[-1].n_evaluations + 1
+            # on these cases the stop also ends on the longer run's network
+            assert res.g_max == full.g_max == g
+            # a sweep cap that ends the run there keeps its own label
+            capped = cross_optimize(Memo(fn), d, g0, dataclasses.replace(
+                cfg, max_sweeps=len(history)), tau)
+            assert capped.termination == "max_sweeps"
+            assert [record(r) for r in capped.history] == [record(r) for r in history]
+        assert min(stopped.values()) >= 8
 
 
 class TestConfigValidation:

@@ -36,9 +36,14 @@ A1_SEED0_BITS = "101001"
 # CrossConfig(r_max=4, n_max=400, seed=5, max_sweeps=4); frozen from a run
 # before the per-trajectory step table and the per-N generator pattern, so
 # the pivot path and the log-likelihood bits must not move; cache_hits is
-# d = 10 below that run's, whose start fibers looked g0 up once per mode
+# d = 10 below that run's, whose start fibers looked g0 up once per mode;
+# the run as it sweeps without the one-flip stop
 GOLDEN_RUN = dict(n_eval=129, cache_hits=362, g_max="1010000011",
                   termination="rank_saturated", loglik="-0x1.9c8af2b4a1c00p+6")
+# the same run with the one-flip stop: a prefix of the pivot path above,
+# ending on the same network
+GOLDEN_LOCAL_MAX_RUN = dict(n_eval=78, cache_hits=212, g_max="1010000011",
+                            termination="local_max", loglik="-0x1.9c8af2b4a1c00p+6")
 
 
 def chain_data(n, t_max, seed, dt=0.1):
@@ -131,13 +136,20 @@ class TestRunInference:
         assert rr.g_max == g_brute
         assert rr.link_error == network_error(rr.g_max, chain_network(4))
 
-    def test_golden_run(self):
+    @staticmethod
+    def golden():
         data = chain_data(5, 60.0, seed=11)
         cfg = CrossConfig(r_max=4, n_max=400, seed=5, max_sweeps=4)
         rr = run_inference(data, PARAMS, 1.0, cfg, truth=chain_network(5))
-        assert dict(n_eval=rr.n_eval, cache_hits=rr.cache_hits,
+        return dict(n_eval=rr.n_eval, cache_hits=rr.cache_hits,
                     g_max=rr.g_max.bitstring, termination=rr.termination,
-                    loglik=rr.loglik.hex()) == GOLDEN_RUN
+                    loglik=rr.loglik.hex())
+
+    def test_golden_run(self, no_local_max):
+        assert self.golden() == GOLDEN_RUN
+
+    def test_golden_run_stops_at_local_max(self):
+        assert self.golden() == GOLDEN_LOCAL_MAX_RUN
 
     def test_histories_deterministic(self):
         data = chain_data(4, 30.0, seed=2)
@@ -158,7 +170,7 @@ class TestRunInference:
         assert rr.cache_hits == cache.n_hits
         assert rr.loglik == cache.lookup(rr.g_max.bits)
 
-    def test_shared_cache_counts_each_runs_own_lookups(self):
+    def test_shared_cache_counts_each_runs_own_lookups(self, no_local_max):
         # a second run on a shared memo is charged only its own solves and
         # hits, so its budget is not eaten by the first run's solves
         data = chain_data(5, 100.0, seed=3)
@@ -176,6 +188,30 @@ class TestRunInference:
         assert second.termination == fresh.termination
         assert second.n_eval + second.cache_hits == fresh.n_eval + fresh.cache_hits
         assert len(second.history) == len(fresh.history)
+
+    def test_shared_cache_run_follows_the_fresh_path(self):
+        # a shared memo may already hold the one-flip neighbours a fresh
+        # run has yet to solve, so the second run can stop sooner, but
+        # only on a prefix of the fresh run's path
+        data = chain_data(5, 100.0, seed=3)
+        cfg = CrossConfig(r_max=4, n_max=150, seed=7, max_sweeps=4)
+        fresh = run_inference(data, PARAMS, 10.0, cfg)
+        cache = likelihood_memo(data, PARAMS)
+        run_inference(data, PARAMS, 1.0, cfg, cache=cache)
+        solves, hits = cache.n_evaluations, cache.n_hits
+        second = run_inference(data, PARAMS, 10.0, cfg, cache=cache)
+        assert second.n_eval == cache.n_evaluations - solves
+        assert second.cache_hits == cache.n_hits - hits
+        assert second.n_eval < fresh.n_eval <= cfg.n_max
+
+        def path(rr):
+            return [(rec["g_max"], rec["max_error"]) for rec in rr.history]
+
+        assert 1 <= len(second.history) <= len(fresh.history)
+        assert path(second) == path(fresh)[:len(second.history)]
+        if len(second.history) < len(fresh.history):
+            assert second.termination == "local_max"
+        assert second.g_max == fresh.g_max
 
     def test_each_network_solved_at_most_once(self):
         rng = np.random.default_rng(19)
