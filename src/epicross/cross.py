@@ -592,11 +592,20 @@ class CrossResult:
     tensor: TensorTrain | None
 
 
-def _one_flip_maximum(memo, g) -> bool:
-    """Every index one bit flip from g is stored in the memo; with g the
-    memo's argmax, none of them is then better.  Solves nothing."""
-    return all(memo.lookup(g[:k] + (1 - g[k],) + g[k + 1:]) is not None
-               for k in range(len(g)))
+def _one_flip_maximum(memo, g, budget: int) -> bool:
+    """Whether g, the memo's argmax, beats or ties every index one bit flip
+    away.  Flips missing from the memo are solved in bit order, at most
+    `budget` of them, until one takes the argmax from g."""
+    for k in range(len(g)):
+        flip = g[:k] + (1 - g[k],) + g[k + 1:]
+        if memo.lookup(flip) is None:
+            if budget <= 0:
+                return False
+            budget -= 1
+            memo(flip)
+            if memo.argmax()[0] != g:
+                return False
+    return True
 
 
 def cross_optimize(objective, d: int, g0, config: CrossConfig,
@@ -624,18 +633,21 @@ def cross_optimize(objective, d: int, g0, config: CrossConfig,
     no residual left on any searched bond ("converged"), every bond capped or
     saturated ("rank_saturated"), a sweep admitting no pivot ("stalled"),
     the evaluation budget ("budget") or the sweep cap ("max_sweeps").  A
-    sweep that none of these stops ends the run as "local_max" when it left
-    the memo's argmax at the previous sweep's g_max and all d single flips
-    of that index are in the memo: a one-flip maximum that a whole sweep
-    did not move.  That check solves nothing and draws nothing from the
-    rng, so the run's history is a prefix of the one it would have without
+    sweep after the first that none of these stops ends the run as
+    "local_max" when the memo's argmax is a one-flip maximum and the
+    interpolant's argmax, harvested as at any stop, is no better: its d
+    single flips are looked up and the missing ones solved, within the
+    budget, until one is better.
+    That check draws nothing from the rng and changes no value the sweeps
+    see, so the pivot path up to the stop is the one the run would take
+    without it while the budget does not bind and no re-anchor restarts
     it.  A final interpolant with a singular cross matrix is neither
     exported nor harvested.
 
     The budget is checked before each bond, each probe and step of its
-    rook search and each re-anchored restart, not before each solve.  So
-    the d + 1 lookups of the start always run, a restart (begun below
-    n_max) solves at most the d flips of its network, and the bond in
+    rook search, each re-anchored restart and each solve of the one-flip
+    check.  So the d + 1 lookups of the start always run, a restart (begun
+    below n_max) solves at most the d flips of its network, and the bond in
     progress when the budget runs out finishes its search and admission,
     at bond k at most 2 (r_{k-1} + r_{k+1} - r_k) - 2 <= 4 (r_max - 1)
     solves past n_max: a run solves at most
@@ -718,9 +730,12 @@ def cross_optimize(objective, d: int, g0, config: CrossConfig,
             if report.pivots_added == 0:
                 return result("stalled", interp)
             if ((config.max_sweeps is None or sweeps_done < config.max_sweeps)
-                    and len(history) > 1 and history[-2].g_max == g_best
-                    and _one_flip_maximum(memo, g_best)):
-                return result("local_max", interp)
+                    and sweeps_done > 1
+                    and _one_flip_maximum(memo, g_best, config.n_max - spent())):
+                # the harvest may still find a better index; then sweep on
+                done = result("local_max", interp)
+                if done.g_max == g_best:
+                    return done
         except (OverflowError, np.linalg.LinAlgError):
             if temper is None:
                 raise

@@ -16,7 +16,7 @@ def acceptance_report():
 def no_local_max(monkeypatch):
     """Turn off cross_optimize's one-flip stop, so runs sweep on as they
     would without it."""
-    monkeypatch.setattr(cross, "_one_flip_maximum", lambda memo, g: False)
+    monkeypatch.setattr(cross, "_one_flip_maximum", lambda memo, g, budget: False)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

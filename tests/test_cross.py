@@ -565,7 +565,7 @@ class TestCrossOptimize:
         assert [(rec.sweep, rec.n_evaluations, rec.max_error)
                 for rec in res.history] == [(1, 7, 0.0)]
 
-    def test_max_sweeps_termination(self):
+    def test_max_sweeps_termination(self, no_local_max):
         rng = np.random.default_rng(49)
         f, _ = random_tensor_fn(rng, 6)
         cfg = CrossConfig(r_max=10, n_max=100_000, seed=2, max_sweeps=3)
@@ -765,12 +765,13 @@ class TestLocalMaxStop:
         noise = rng.uniform(0.0, 0.05, size=(2,) * d)
         return lambda bits: math.exp(float(np.dot(w, bits)) + noise[bits])
 
-    def test_stops_only_on_an_unmoved_one_flip_maximum(self, monkeypatch):
-        # a run ending local_max has sweeps identical to the run without
-        # the stop up to there, its last two sweeps share a g_max whose d
-        # flips are all stored and no better, and after the last sweep it
-        # solves at most the harvest's one index; any other run is the
-        # run without the stop
+    def test_stops_only_on_a_one_flip_maximum(self, monkeypatch):
+        # the stop changes no value the sweeps see and draws nothing from
+        # the rng, so a run's per-sweep residuals follow the run without the
+        # stop while the budget does not bind, and its best value per sweep
+        # is no worse; a run ending local_max swept at least twice, its
+        # g_max has all d flips stored and no better, and after the last
+        # sweep it solved at most the missing flips and the harvest's index
         def record(rec):
             return rec.sweep, rec.n_evaluations, rec.max_error, rec.g_max, rec.value
 
@@ -787,28 +788,31 @@ class TestLocalMaxStop:
             memo = Memo(fn)
             res = cross_optimize(memo, d, g0, cfg, tau)
             with monkeypatch.context() as m:
-                m.setattr(cross, "_one_flip_maximum", lambda memo, g: False)
+                m.setattr(cross, "_one_flip_maximum", lambda memo, g, budget: False)
                 full = cross_optimize(Memo(fn), d, g0, cfg, tau)
+            history = res.history
+            assert res.n_evaluations <= max(
+                d + 1, cfg.n_max + max(d - 1, 4 * (cfg.r_max - 1)))
+            whole = history[:-1] if res.termination == "budget" else history
+            assert len(history) <= len(full.history)
+            assert [r.max_error for r in whole] == [
+                r.max_error for r in full.history[:len(whole)]]
+            assert all(r.value >= q.value for r, q in zip(whole, full.history))
             if res.termination != "local_max":
-                assert ([record(r) for r in res.history], res.n_evaluations, res.g_max,
-                        res.termination) == ([record(r) for r in full.history],
-                                             full.n_evaluations, full.g_max,
-                                             full.termination)
+                assert res.termination == full.termination or "budget" in (
+                    res.termination, full.termination)
                 continue
             stopped[tau] += 1
-            history = res.history
-            assert [record(r) for r in history] == [
-                record(r) for r in full.history[:len(history)]]
-            assert len(history) < len(full.history)
-            assert len(history) >= 2 and history[-1].g_max == history[-2].g_max
-            g = history[-1].g_max
+            assert len(history) >= 2 and history[-1].g_max == res.g_max
+            g = res.g_max
             for k in range(d):
                 flip = memo.lookup(g[:k] + (1 - g[k],) + g[k + 1:])
                 assert flip is not None and flip <= memo.lookup(g)
-            assert res.n_evaluations <= history[-1].n_evaluations + 1
+            assert res.n_evaluations <= history[-1].n_evaluations + d + 1
             # on these cases the stop also ends on the longer run's network
-            assert res.g_max == full.g_max == g
-            # a sweep cap that ends the run there keeps its own label
+            assert g == full.g_max
+            # a sweep cap that ends the run there skips the check and keeps
+            # its own label
             capped = cross_optimize(Memo(fn), d, g0, dataclasses.replace(
                 cfg, max_sweeps=len(history)), tau)
             assert capped.termination == "max_sweeps"
