@@ -10,10 +10,11 @@ Transition probabilities come from one routine, transition_columns: the
 entries of exp(Q dt) the caller names, from uniformized columns, each with
 a checked relative error bound.  A solve builds no scipy matrix: the
 generator is a value vector on a sparsity pattern shared by every network
-of N nodes, and each series term is scipy's CSC kernel run into reused
-buffers.  A large block of columns is run as two halves, each stopped on
-its own named entries, the second in one helper process where a second
-CPU allows: the bytes do not depend on where it runs.
+of N nodes, each series term is scipy's CSC kernel run into reused
+buffers, and the last substep sums only the named entries of its terms.
+A large block of columns is run as two halves, each stopped on its own
+named entries, the second in one helper process where a second CPU
+allows: the bytes do not depend on where it runs.
 
 Importing this module loads numpy, the top-level scipy package and one
 compiled module of scipy.sparse, its CSC kernels (_load_sparsetools), but
@@ -385,39 +386,41 @@ def _block(series: _Series, cols: np.ndarray, entries) -> np.ndarray:
     the named entries of its sums, stopped on those entries alone.
 
     Each term is written by scipy's private CSC kernel
-    `_sparsetools.csc_matvecs` into one of two reused, zero-filled buffers
-    and weighted in one scratch buffer, so no array is allocated per term.
-    The kernel is the one `csc_array @` calls (csc_matvec for one column
-    does the same arithmetic), so the bytes are those of `jump @ term`;
+    `_sparsetools.csc_matvecs` into one of two reused, zero-filled buffers,
+    the second of which starts as the indicator vectors of `cols`.  The
+    last substep, the only one unless lam dt > 200, adds up only the named
+    entries of its terms, as nothing else reads its sum; an inner substep
+    sums the whole block, the next substep's start.  Either way a named
+    entry sees the same products and sums in the same order.  The kernel
+    is the one `csc_array @` calls (csc_matvec for one column does the
+    same arithmetic), so the bytes are those of `jump @ term`;
     test_columns_bit_identical_to_scipy_jump_matrix pins them.
     """
     indptr, indices, data, mu, n_sub, min_terms = series
     dim = indptr.size - 1
-    v = np.zeros((dim, cols.size))  # the indicator vectors of cols
-    v[cols, np.arange(cols.size)] = 1.0
-    # the two alternating terms and the weighted-term scratch, flat
-    bufs = (np.empty(v.size), np.empty(v.size))
-    scratch = np.empty(v.size)
+    named = np.ravel_multi_index(entries, (dim, cols.size))  # into a flat term
+    bufs = (np.empty(dim * cols.size), np.zeros(dim * cols.size))
+    v = bufs[1]
+    v[cols * cols.size + np.arange(cols.size)] = 1.0
     lost = 0.0  # neglected mass of the finished substeps
     terms = 0   # jumps applied so far, over all substeps
     for s in range(n_sub):
+        last = s == n_sub - 1
+        keep = named if last else slice(None)  # the entries the sum keeps
         w = math.exp(-mu)
-        term = v.reshape(-1)
-        acc = w * v
-        flat_acc = acc.reshape(-1)
+        term = v
+        acc = w * v[keep]
         for j in range(MAX_TERMS + 1):
             # bound on sum_{i > j} w_i; the ratios w_{i+1}/w_i fall below
             # mu/(j+2) < 1 once j + 2 > mu
             w_next = w * mu / (j + 1)
             tail = w_next / (1.0 - mu / (j + 2)) if j + 2 > mu else math.inf
-            if s < n_sub - 1:
+            if not last:
                 target = INNER_TARGET
             else:
                 target = RTOL - lost
                 if tail <= target:
-                    p = acc[entries]
-                    if terms + j >= min_terms:
-                        p = p[p > 0.0]
+                    p = acc if terms + j < min_terms else acc[acc > 0.0]
                     target = RTOL * p.min(initial=1.0) - lost
             if 0.0 < target and tail <= target:
                 break
@@ -430,12 +433,11 @@ def _block(series: _Series, cols: np.ndarray, entries) -> np.ndarray:
             _sparsetools.csc_matvecs(dim, dim, cols.size, indptr, indices, data, term, nxt)
             term = nxt
             w = w_next
-            np.multiply(term, w, out=scratch)
-            flat_acc += scratch
+            acc += term[keep] * w
         lost += tail
         terms += j
         v = acc
-    return v[entries]
+    return v
 
 
 # -- the halves ---------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,34 +69,48 @@ def every_entry(rate, dt, cols):
 
 
 def reference_columns(rate, dt, cols, entries):
-    """One-substep uniformization (lam dt <= 200) with the jump matrix built
-    as a scipy csc_array q / lam plus setdiag, stopping as
-    transition_columns does; returns the named entries."""
-    _, indices, indptr, _, _ = epidemic._generator_pattern(rate.dim.bit_length() - 1)
+    """Uniformization with the jump matrix built as a scipy csc_array
+    q / lam plus setdiag, every substep summing the whole block and
+    stopping as transition_columns does: an inner substep (lam dt > 200)
+    at INNER_TARGET, the last at RTOL times the smallest named entry less
+    the mass the inner ones left out.  Returns the named entries."""
+    n = rate.dim.bit_length() - 1
+    _, indices, indptr, _, _ = epidemic._generator_pattern(n)
     q = sparse.csc_array((rate.data, indices, indptr), shape=(rate.dim, rate.dim))
     lam = float((-q.diagonal()).max())
     jump = q / lam
     jump.setdiag(jump.diagonal() + 1.0)
     v = np.zeros((rate.dim, len(cols)))
     v[cols, np.arange(len(cols))] = 1.0
-    mu = lam * dt
-    w = math.exp(-mu)
-    term, acc = v, w * v
-    for j in range(epidemic.MAX_TERMS):
-        w_next = w * mu / (j + 1)
-        tail = w_next / (1.0 - mu / (j + 2)) if j + 2 > mu else math.inf
-        target = epidemic.RTOL
-        if tail <= target:
-            p = acc[entries]
-            if j >= 2 * (rate.dim.bit_length() - 1):
-                p = p[p > 0.0]
-            target = epidemic.RTOL * p.min(initial=1.0)
-        if 0.0 < target and tail <= target:
-            return acc[entries]
-        term = jump @ term
-        w = w_next
-        acc += w * term
-    raise AssertionError("reference series did not stop")
+    n_sub = max(1, math.ceil(lam * dt / 200.0))
+    mu = lam * dt / n_sub
+    lost, terms = 0.0, 0
+    for s in range(n_sub):
+        w = math.exp(-mu)
+        term, acc = v, w * v
+        for j in range(epidemic.MAX_TERMS):
+            w_next = w * mu / (j + 1)
+            tail = w_next / (1.0 - mu / (j + 2)) if j + 2 > mu else math.inf
+            if s < n_sub - 1:
+                target = epidemic.INNER_TARGET
+            else:
+                target = epidemic.RTOL - lost
+                if tail <= target:
+                    p = acc[entries]
+                    if terms + j >= 2 * n:
+                        p = p[p > 0.0]
+                    target = epidemic.RTOL * p.min(initial=1.0) - lost
+            if 0.0 < target and tail <= target:
+                break
+            term = jump @ term
+            w = w_next
+            acc += w * term
+        else:
+            raise AssertionError("reference series did not stop")
+        lost += tail
+        terms += j
+        v = acc
+    return v[entries]
 
 
 class TestAdjacency:
@@ -371,6 +386,23 @@ class TestTransitionMatrix:
             want = reference_columns(rate, dt, cols, entries)
             assert got.tobytes() == want.tobytes()
 
+    def test_one_substep_block_holds_two_block_arrays(self):
+        # the last substep sums only the named entries, so a one-substep
+        # block of 512 states x 75 columns peaks at its two term buffers,
+        # with no whole-block sum or weighted-term scratch beside them
+        rate = build_generator(chain_network(9), EpidemicParams(1.0, 0.5, 0.01))
+        rng = np.random.default_rng(3)
+        cols, series = epidemic._prepare(rate, 0.1, np.arange(0, 450, 6))
+        entries = (rng.integers(0, rate.dim, size=300), rng.integers(0, cols.size, size=300))
+        assert series.n_sub == 1
+        tracemalloc.start()
+        try:
+            epidemic._block(series, cols, entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * rate.dim * cols.size * 8
+
 
 # A block large enough to be split (512 states x 64 columns), as code that a
 # child interpreter can run too.
@@ -458,9 +490,8 @@ class TestSplit:
             large = rate.dim * cols.size >= epidemic.SPLIT_MIN_WORK
             want = split if large else epidemic._block(series, cols, entries)
             assert transition_columns(rate, dt, cols, entries).tobytes() == want.tobytes()
-            if series.n_sub == 1:
-                want = halves_reference(rate, dt, cols, entries)
-                assert split.tobytes() == want.tobytes()
+            want = halves_reference(rate, dt, cols, entries)
+            assert split.tobytes() == want.tobytes()
 
     def test_split_within_bound_of_whole_block(self):
         # both are the series stopped with at most RTOL relative mass left
