@@ -87,6 +87,8 @@ class Memo:
         return len(self._values)
 
     def __call__(self, bits) -> float:
+        # an index in flight maps to a lock its solver holds until the solve
+        # ends; a waiter takes and drops it, then looks the index up again
         while True:
             with self._lock:
                 value = self._values.get(bits)
@@ -95,9 +97,11 @@ class Memo:
                     return value
                 done = self._pending.get(bits)
                 if done is None:
-                    done = self._pending[bits] = threading.Event()
+                    done = self._pending[bits] = threading.Lock()
+                    done.acquire()
                     break
-            done.wait()
+            with done:
+                pass
         try:
             value = float(self.fn(bits))
             if math.isnan(value):
@@ -109,7 +113,7 @@ class Memo:
         finally:
             with self._lock:
                 del self._pending[bits]
-            done.set()
+            done.release()
 
     def _store(self, key, value: float) -> None:
         self._values[key] = value
@@ -268,11 +272,15 @@ def matrix_cross_step(view: SubtensorView, row_set, col_set, rng,
     return RookResult((i_star, j_star), max_error, converged)
 
 
-def _argmax(values) -> int:
-    """Position of the first largest value, NaN ranking below every number
-    (inf * 0 in a prediction gives NaN residuals, which measure nothing)."""
-    a = np.asarray(values)
-    return int(np.argmax(np.where(np.isnan(a), -np.inf, a)))
+def _argmax(values: list) -> int:
+    """Position of the first largest value of a list, NaN ranking below
+    every number (inf * 0 in a prediction gives NaN residuals, which
+    measure nothing); 0 when no value is above -inf."""
+    best, pos = -math.inf, 0
+    for i, v in enumerate(values):
+        if v > best:
+            best, pos = v, i
+    return pos
 
 
 class CrossInterpolant:
@@ -467,7 +475,8 @@ def tensor_argmax(tt: TensorTrain) -> tuple[int, ...]:
             block = block.reshape(-1, core.shape[2])
     # row index has bit k at weight 2^(d-1-k), so numeric order of rows is
     # lexicographic order of indices and argmax's first-hit rule breaks ties
-    idx = _argmax(block[:, 0])
+    values = block[:, 0]
+    idx = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
     return tuple((idx >> (tt.d - 1 - k)) & 1 for k in range(tt.d))
 
 

@@ -9,9 +9,11 @@ sits in the least significant bit.
 Transition probabilities come from one routine, transition_columns: the
 entries of exp(Q dt) the caller names, from uniformized columns, each with
 a checked relative error bound.  A solve builds no scipy matrix: the
-generator is a value vector on a sparsity pattern shared by every network
-of N nodes, each series term is scipy's CSC kernel run into reused
-buffers, and the last substep sums only the named entries of its terms.
+generator and its jump chain P = I + Q/lam are value vectors on a sparsity
+pattern shared by every network of N nodes, built once per network and
+shared by every step length (a likelihood solve's step groups), each
+series term is scipy's CSC kernel run into reused buffers, and the last
+substep sums only the named entries of its terms.
 A large block of columns is run as two halves, each stopped on its own
 named entries, the second in one helper process where a second CPU
 allows: the bytes do not depend on where it runs.
@@ -33,7 +35,7 @@ import os
 import signal
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -92,20 +94,20 @@ class AdjacencyVector:
     bits : tuple of int
         Edge indicators in column-wise upper-triangle order, length
         N(N-1)/2.
+
+    `n_nodes`, N, is computed once, as the length is checked.
     """
 
     bits: tuple[int, ...]
+    n_nodes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
-        if any(b not in (0, 1) for b in bits):
+        bits = tuple(map(int, self.bits))
+        if not set(bits) <= {0, 1}:
             raise ValueError("adjacency bits must be 0 or 1")
-        nodes_from_pair_count(len(bits))  # raises on impossible length
         object.__setattr__(self, "bits", bits)
-
-    @property
-    def n_nodes(self) -> int:
-        return nodes_from_pair_count(len(self.bits))
+        # raises on an impossible length
+        object.__setattr__(self, "n_nodes", nodes_from_pair_count(len(bits)))
 
     @property
     def n_pairs(self) -> int:
@@ -170,20 +172,30 @@ def pack_adjacency(matrix) -> AdjacencyVector:
 
 
 @functools.cache
-def _pair_endpoints(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (m, n) endpoint arrays of the pairs in pair_order."""
-    ends = np.array(pair_order(n_nodes), dtype=np.intp).reshape(-1, 2).T.copy()
-    ends.flags.writeable = False
-    return ends[0], ends[1]
+def _pair_positions(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only flat positions of the pairs of pair_order in an N x N
+    matrix: of (m, n), above the diagonal, and of (n, m), below it."""
+    m, n = np.array(pair_order(n_nodes), dtype=np.intp).reshape(-1, 2).T
+    upper, lower = m * n_nodes + n, n * n_nodes + m
+    for a in (upper, lower):
+        a.flags.writeable = False
+    return upper, lower
+
+
+def _adjacency(g: AdjacencyVector, dtype) -> np.ndarray:
+    """The full symmetric 0/1 matrix of g, of the given dtype."""
+    n = g.n_nodes
+    upper, lower = _pair_positions(n)
+    bits = np.array(g.bits, dtype=dtype)
+    a = np.zeros(n * n, dtype=dtype)
+    a[upper] = bits
+    a[lower] = bits
+    return a.reshape(n, n)
 
 
 def unpack_adjacency(g: AdjacencyVector) -> np.ndarray:
     """Expand an AdjacencyVector into a full symmetric 0/1 matrix."""
-    n = g.n_nodes
-    m, n_ = _pair_endpoints(n)
-    a = np.zeros((n, n), dtype=np.int64)
-    a[m, n_] = a[n_, m] = g.bits
-    return a
+    return _adjacency(g, np.int64)
 
 
 def network_error(g: AdjacencyVector, g_star: AdjacencyVector) -> int:
@@ -240,17 +252,23 @@ class NetworkState:
 @dataclass(frozen=True, eq=False)
 class RateMatrix:
     """Infinitesimal generator of the epidemic CTMC, column convention:
-    q[y, x] is the rate of jumping from state x to state y.
+    q[y, x] is the rate of jumping from state x to state y, with the jump
+    chain that uniformizes it.
 
     `data` holds the CSC values on the sparsity pattern that every
     generator of `dim` states shares (_generator_pattern), `diag` the
-    positions of the diagonal entries q[x, x] in it.  Generators compare by
-    identity.
+    positions of the diagonal entries q[x, x] in it.  `lam` is the largest
+    exit rate and `jump` the values of the jump chain P = I + Q/lam on the
+    same pattern, None when lam is 0 (exp(Q dt) = I).  The arrays are
+    read-only, as every transition_columns call on the generator shares
+    them.  Generators compare by identity.
     """
 
     dim: int
     data: np.ndarray
     diag: np.ndarray
+    lam: float
+    jump: np.ndarray | None
 
     def exit_rates(self) -> np.ndarray:
         return -self.data[self.diag]
@@ -261,47 +279,65 @@ def _generator_pattern(n_nodes: int):
     """The part of the N-node generator that no network changes.
 
     Column x of Q holds x and its N single-flip neighbours.  Returns the
-    (2^N, N) state bits, the CSC `indices` and `indptr` of that pattern
+    (2^N, N) state bits as floats (so that the infected-neighbour counts
+    are one BLAS product), the CSC `indices` and `indptr` of that pattern
     (rows sorted within each column), the data positions of the diagonal
-    entries, and the gather that orders a (2^N, N+1) array of
-    [flip rates | diagonal] into the data vector.  All arrays are
+    entries, and those of the (2^N, N) flip rates.  All arrays are
     read-only, as every generator of N nodes shares them.
     """
     n = n_nodes
     dim = 1 << n
     states = np.arange(dim, dtype=np.int64)
-    bits = (states[:, None] >> np.arange(n)) & 1                  # (dim, n)
+    bits = ((states[:, None] >> np.arange(n)) & 1).astype(float)  # (dim, n)
     rows = np.concatenate([states[:, None] ^ (np.int64(1) << np.arange(n)),
                            states[:, None]], axis=1)              # (dim, n+1)
     order = np.argsort(rows, axis=1)
     indices = np.take_along_axis(rows, order, axis=1).ravel().astype(np.int32)
     indptr = np.arange(0, dim * (n + 1) + 1, n + 1, dtype=np.int32)
-    gather = (order + states[:, None] * (n + 1)).ravel()
-    diag = np.flatnonzero(order.ravel() == n)
-    for a in (bits, indices, indptr, gather, diag):
+    # where entry (x, i) of [flip rates | diagonal] lands in the data vector
+    where = np.empty(dim * (n + 1), dtype=np.intp)
+    where[(order + states[:, None] * (n + 1)).ravel()] = np.arange(dim * (n + 1))
+    where = where.reshape(dim, n + 1)
+    flips, diag = where[:, :n].ravel(), where[:, n].copy()
+    for a in (bits, indices, indptr, diag, flips):
         a.flags.writeable = False
-    return bits, indices, indptr, diag, gather
+    return bits, indices, indptr, diag, flips
 
 
 def build_generator(g: AdjacencyVector, params: EpidemicParams) -> RateMatrix:
-    """Assemble the 2^N x 2^N generator of the epsilon-SIS chain on network g.
+    """Assemble the 2^N x 2^N generator of the epsilon-SIS chain on network g
+    and the jump chain that uniformizes it.
 
     A susceptible node n flips up at rate I_n(x) beta + eps where I_n counts
     its infected neighbours; an infected node flips down at rate gamma.
     Columns sum to zero.  The sparsity pattern (every single-flip entry and
     the diagonal, zero rates stored explicitly) is built once per N and
-    shared; per network only the value vector is filled, and no scipy
-    matrix is built.
+    shared; per network only the value vectors are filled, and no scipy
+    matrix is built.  The exit rates are summed once, for the diagonal and
+    for lam, and P = I + Q/lam is built in the same pass, once per network:
+    every step group of a likelihood solve shares it.
     """
     n = g.n_nodes
     dim = 1 << n
-    bits, _, _, diag, gather = _generator_pattern(n)
-    n_inf = bits @ unpack_adjacency(g)
-    flip_rate = np.where(bits == 0, n_inf * params.beta + params.eps, params.gamma)
-    full = np.empty((dim, n + 1))
-    full[:, :n] = flip_rate
-    full[:, n] = -flip_rate.sum(axis=1)
-    return RateMatrix(dim=dim, data=full.ravel()[gather], diag=diag)
+    bits, _, _, diag, flips = _generator_pattern(n)
+    up_rate = bits @ _adjacency(g, float)  # infected neighbours, then times beta plus eps
+    up_rate *= params.beta
+    up_rate += params.eps
+    flip_rate = np.where(bits, params.gamma, up_rate)
+    exit_rate = flip_rate.sum(axis=1)
+    data = np.empty(dim * (n + 1))
+    data[flips] = flip_rate.ravel()
+    data[diag] = -exit_rate
+    lam = float(exit_rate.max(initial=0.0))
+    jump = None
+    if lam > 0.0:
+        # P = I + Q/lam, entrywise >= 0; scaled by the reciprocal as a scipy
+        # matrix's q / lam is, so the entries match it bit for bit
+        jump = data * (1.0 / lam)
+        jump[diag] += 1.0
+        jump.flags.writeable = False
+    data.flags.writeable = False
+    return RateMatrix(dim=dim, data=data, diag=diag, lam=lam, jump=jump)
 
 
 RTOL = 1e-12          # relative accuracy of the entries transition_columns names
@@ -318,7 +354,8 @@ def transition_columns(rate: RateMatrix, dt: float, cols, entries) -> np.ndarray
 
     `entries`, index arrays (rows, pos), names the entries the caller
     needs: returns p with p[i] = exp(Q dt)[rows[i], cols[pos[i]]].  The
-    jump chain P = I + Q/lam, lam the largest exit rate, is applied to the
+    jump chain P = I + Q/lam, lam the largest exit rate, built with the
+    generator (once per network, whatever dt), is applied to the
     indicator vectors of `cols` and summed with Poisson(lam dt) weights.
     All terms are nonnegative, so the neglected Poisson mass, bounded from
     the next weight by w_{j+1} / (1 - mu/(j+2)), bounds the error of every
@@ -352,7 +389,7 @@ class _Series(NamedTuple):
 
     indptr: np.ndarray   # CSC column pointers of P, the pattern of Q
     indices: np.ndarray  # CSC row indices of P
-    data: np.ndarray     # values of P
+    data: np.ndarray     # values of P, the generator's `jump`
     mu: float            # Poisson mean of one substep
     n_sub: int           # substeps
     min_terms: int       # terms after which a zero named entry is structural
@@ -367,18 +404,12 @@ def _prepare(rate: RateMatrix, dt: float, cols) -> tuple[np.ndarray, _Series | N
     cols = np.atleast_1d(np.asarray(cols, dtype=np.int64))
     if cols.size and (cols.min() < 0 or cols.max() >= rate.dim):
         raise ValueError("column indices out of range")
-    lam = float(rate.exit_rates().max(initial=0.0))
-    if lam == 0.0 or dt == 0.0:
+    if rate.jump is None or dt == 0.0:
         return cols, None
-    n_sub = max(1, math.ceil(lam * dt / 200.0))  # exp(-mu) far from underflow
-    # P = I + Q/lam, entrywise >= 0, on the pattern of Q; scaled by the
-    # reciprocal as a scipy matrix's q / lam is, so the entries match it
-    # bit for bit
-    data = rate.data * (1.0 / lam)
-    data[rate.diag] += 1.0
+    n_sub = max(1, math.ceil(rate.lam * dt / 200.0))  # exp(-mu) far from underflow
     n = rate.dim.bit_length() - 1
     _, indices, indptr, _, _ = _generator_pattern(n)
-    return cols, _Series(indptr, indices, data, lam * dt / n_sub, n_sub, 2 * n)
+    return cols, _Series(indptr, indices, rate.jump, rate.lam * dt / n_sub, n_sub, 2 * n)
 
 
 def _block(series: _Series, cols: np.ndarray, entries) -> np.ndarray:
@@ -400,6 +431,9 @@ def _block(series: _Series, cols: np.ndarray, entries) -> np.ndarray:
     dim = indptr.size - 1
     named = np.ravel_multi_index(entries, (dim, cols.size))  # into a flat term
     bufs = (np.empty(dim * cols.size), np.zeros(dim * cols.size))
+    # +0.0 is all zero bytes, and filling a byte view is a memset, several
+    # times quicker than a float fill
+    zero = tuple(b.view(np.uint8) for b in bufs)
     v = bufs[1]
     v[cols * cols.size + np.arange(cols.size)] = 1.0
     lost = 0.0  # neglected mass of the finished substeps
@@ -420,8 +454,11 @@ def _block(series: _Series, cols: np.ndarray, entries) -> np.ndarray:
             else:
                 target = RTOL - lost
                 if tail <= target:
-                    p = acc if terms + j < min_terms else acc[acc > 0.0]
-                    target = RTOL * p.min(initial=1.0) - lost
+                    low = acc.min(initial=1.0)
+                    if low == 0.0 and terms + j >= min_terms:
+                        # a named entry still zero is structural
+                        low = acc[acc > 0.0].min(initial=1.0)
+                    target = RTOL * low - lost
             if 0.0 < target and tail <= target:
                 break
             if j == MAX_TERMS:
@@ -429,7 +466,7 @@ def _block(series: _Series, cols: np.ndarray, entries) -> np.ndarray:
                     f"uniformization missed relative accuracy {RTOL:g} within "
                     f"{MAX_TERMS} terms (Poisson mean {mu:.6g})")
             nxt = bufs[j & 1]
-            nxt.fill(0.0)  # the kernel adds P @ term into it
+            zero[j & 1].fill(0)  # the kernel adds P @ term into it
             _sparsetools.csc_matvecs(dim, dim, cols.size, indptr, indices, data, term, nxt)
             term = nxt
             w = w_next

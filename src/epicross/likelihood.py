@@ -31,11 +31,12 @@ def log_likelihood(g: AdjacencyVector, data: Trajectory,
     The steps grouped by length and counted per distinct (prev, next)
     state pair, c_ab, come from `data.step_groups`, built once per
     trajectory; the generator's sparsity pattern is built once per node
-    count.  Per solve, only the network's generator values are filled and,
-    per group, the columns of exp(Q dt) of the distinct source states are
-    propagated, by uniformization certified to relative accuracy RTOL on
-    the observed entries p_ab; log L = sum c_ab log p_ab.  Returns -inf
-    when some observed step is structurally impossible.
+    count.  Per solve, the network's generator values and its jump chain
+    P = I + Q/lam are filled in once, in one pass, and shared by every
+    step group: per group, the columns of exp(Q dt) of the distinct source
+    states are propagated with P, by uniformization certified to relative
+    accuracy RTOL on the observed entries p_ab; log L = sum c_ab log p_ab.
+    Returns -inf when some observed step is structurally impossible.
     """
     if g.n_nodes != data.n_nodes:
         raise ValueError(f"network has {g.n_nodes} nodes, data has {data.n_nodes}")
@@ -43,7 +44,7 @@ def log_likelihood(g: AdjacencyVector, data: Trajectory,
     total = 0.0
     for dt, sources, entries, counts in data.step_groups:
         p = transition_columns(rate, dt, sources, entries)
-        if np.any(p <= 0.0):
+        if not p.min() > 0.0:
             return -math.inf
         total += float(counts @ np.log(p))
     return total

@@ -365,6 +365,27 @@ class TestMatrixCrossStep:
         assert len(set(calls[:6])) == 6  # distinct probes first
         assert len(calls) > 6  # then rook scans on top
 
+    def test_argmax_of_a_list_follows_the_numpy_rule(self):
+        # the rook's plain loop against numpy's argmax with NaN mapped to
+        # -inf: the first largest value wins and NaN ranks lowest
+        rng = np.random.default_rng(29)
+        pool = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 2.0, -3.0, 5e-324])
+        cases = [[math.nan] * 4, [-math.inf] * 3, [math.nan, -math.inf, math.nan],
+                 [-math.inf, math.nan], [math.inf, math.inf], [0.0, -0.0], [-0.0, 0.0],
+                 [1.0]]
+        for _ in range(2000):
+            size = int(rng.integers(1, 12))
+            if rng.random() < 0.5:  # ties and special values
+                values = rng.choice(pool, size=size)
+            else:
+                values = rng.normal(size=size)
+                values[rng.random(size) < 0.2] = np.nan
+            cases.append(values.tolist())
+        for values in cases:
+            a = np.array(values)
+            want = int(np.argmax(np.where(np.isnan(a), -np.inf, a)))
+            assert cross._argmax(values) == want, values
+
 
 class TestCrossInterpolant:
     def test_init_exact_at_pivot_and_flips(self):

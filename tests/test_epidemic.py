@@ -74,6 +74,13 @@ def reference_columns(rate, dt, cols, entries):
     stopping as transition_columns does: an inner substep (lam dt > 200)
     at INNER_TARGET, the last at RTOL times the smallest named entry less
     the mass the inner ones left out.  Returns the named entries."""
+    return reference_series(rate, dt, cols, entries)[0]
+
+
+def reference_series(rate, dt, cols, entries):
+    """reference_columns and the jumps its series applies, over all
+    substeps; the last substep's minimum leaves out the named entries still
+    zero once 2N jumps have run (the masked stop rule)."""
     n = rate.dim.bit_length() - 1
     _, indices, indptr, _, _ = epidemic._generator_pattern(n)
     q = sparse.csc_array((rate.data, indices, indptr), shape=(rate.dim, rate.dim))
@@ -110,7 +117,7 @@ def reference_columns(rate, dt, cols, entries):
         lost += tail
         terms += j
         v = acc
-    return v[entries]
+    return v[entries], terms
 
 
 class TestAdjacency:
@@ -402,6 +409,63 @@ class TestTransitionMatrix:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * rate.dim * cols.size * 8
+
+
+class TestStopRule:
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """Count the series terms: every term is one kernel call."""
+        calls = []
+        kernel = epidemic._sparsetools
+
+        class Counting:
+            def csc_matvecs(self, *args):
+                calls.append(args[2])
+                return kernel.csc_matvecs(*args)
+
+        monkeypatch.setattr(epidemic, "_sparsetools", Counting())
+        return calls
+
+    def test_structural_zero_stops_at_the_masked_rule(self, kernel_calls):
+        # eps = 0 and no edges: state 0 never leaves, so exp(Q dt)[1, 0] is
+        # exactly zero after any number of terms, while the other named
+        # entries are positive; the series stops once 2N terms have run and
+        # the positive entries meet their bound
+        rate = build_generator(AdjacencyVector.empty(3), EpidemicParams(1.0, 0.5, 0.0))
+        for dt in (0.01, 0.5, 3.0):
+            cols = np.array([0, 7])
+            entries = (np.array([1, 0, 0, 6, 7]), np.array([0, 0, 1, 1, 1]))
+            kernel_calls.clear()
+            p = transition_columns(rate, dt, cols, entries)
+            want, jumps = reference_series(rate, dt, cols, entries)
+            assert p[0] == 0.0 and np.all(p[1:] > 0.0)
+            assert p.tobytes() == want.tobytes()
+            assert len(kernel_calls) == jumps >= 2 * 3
+
+    def test_positive_entries_stop_at_the_masked_rule(self, kernel_calls):
+        # with every named entry positive, the minimum over all of them is
+        # the masked rule's minimum, so the series applies as many terms;
+        # one case runs three substeps (lam dt > 200), and in another the
+        # tail falls below RTOL while the entry 7 flips away is still zero
+        rng = np.random.default_rng(43)
+        for trial in range(16):
+            n = int(rng.integers(2, 8))
+            rate = build_generator(random_network(rng, n),
+                                   EpidemicParams(*rng.uniform(0.05, 2.0, size=3)))
+            dt = float(rng.uniform(0.01, 2.0)) if trial else 450.0 / rate.lam
+            cols = np.sort(rng.choice(rate.dim, size=min(5, rate.dim), replace=False))
+            rows, pos = np.indices((rate.dim, cols.size)).reshape(2, -1)
+            pick = rng.random(rows.size) < 0.5
+            entries = (rows[pick], pos[pick])
+            if trial == 1:  # staying at 0, and all 7 nodes infected
+                rate = build_generator(AdjacencyVector.empty(7), EpidemicParams(1.0, 0.5, 0.01))
+                dt, cols, entries = 0.01, np.array([0]), (np.array([0, 127]), np.array([0, 0]))
+            kernel_calls.clear()
+            p = transition_columns(rate, dt, cols, entries)
+            want, jumps = reference_series(rate, dt, cols, entries)
+            assert np.all(p > 0.0)
+            assert p.tobytes() == want.tobytes()
+            assert len(kernel_calls) == jumps
 
 
 # A block large enough to be split (512 states x 64 columns), as code that a

@@ -133,6 +133,49 @@ class TestLogLikelihood:
         ll = log_likelihood(AdjacencyVector.empty(n), data, params)
         assert ll == pytest.approx(n * math.log(p1), abs=1e-9)
 
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_one_jump_chain_serves_every_step_group(self, n):
+        # the one generator and jump chain a solve shares between its step
+        # groups gives the bytes of a generator built afresh per group, on
+        # irregular grids: with a block large enough to split (n = 9), steps
+        # of lam dt > 200 (several substeps) and all rates zero
+        # (exp(Q dt) = I)
+        rng = np.random.default_rng(60 + n)
+        g = AdjacencyVector(tuple(int(b) for b in rng.integers(0, 2, size=n * (n - 1) // 2)))
+        params = EpidemicParams(beta=float(rng.uniform(0.1, 2.0)),
+                                gamma=float(rng.uniform(0.1, 2.0)),
+                                eps=float(rng.uniform(0.05, 0.5)))
+        if n == 9:  # many distinct states
+            params = EpidemicParams(1.0, 0.5, 0.2)
+        fine = ssa_simulate(g, params, 0.05, 30.0 if n == 9 else 5.0,
+                            NetworkState((1,) + (0,) * (n - 1)),
+                            seed=int(rng.integers(1e6)))
+        keep = np.cumsum(rng.choice([1, 1, 1, 2, 3], size=fine.n_steps))
+        keep = np.concatenate([[0], keep[keep <= fine.n_steps]])
+        lam = build_generator(g, params).lam
+        # two long steps at the end, of lam dt 500 and 300: 3 and 2 substeps
+        times = np.concatenate([fine.times[keep], fine.times[keep[-1]] + np.array(
+            [500.0, 800.0]) / lam])
+        states = np.concatenate([fine.states[keep], fine.states[[0, keep[-1]]]])
+        irregular = Trajectory(times, states)
+        still = Trajectory(times, np.repeat(states[:1], times.size, axis=0))
+        zero = EpidemicParams(0.0, 0.0, 0.0)
+        cases = [(irregular, params), (irregular, zero), (still, zero)]
+        assert len(irregular.step_groups) >= 4
+        if n == 9:
+            widest = max(sources.size for _, sources, _, _ in irregular.step_groups)
+            assert (1 << n) * widest >= epidemic.SPLIT_MIN_WORK
+        for data, rates in cases:
+            want = 0.0
+            for dt, sources, entries, counts in data.step_groups:
+                p = epidemic.transition_columns(build_generator(g, rates), dt, sources, entries)
+                with np.errstate(divide="ignore"):
+                    want += float(counts @ np.log(p))
+            got = log_likelihood(g, data, rates)
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert log_likelihood(g, still, zero) == 0.0
+        assert log_likelihood(g, irregular, zero) == -math.inf
+
     def test_equal_trajectories_equal_loglik(self):
         # the step table is cached per trajectory; a second trajectory with
         # equal arrays, whose table is not built yet, gives the same bits
