@@ -70,7 +70,7 @@ class Memo:
     solve raises, the next caller solves again.  Indices are keys as given,
     normally the 0/1 tuples the interpolant holds.  `n_evaluations` counts
     solves and `n_hits` lookups answered from the store; values read by
-    `load` count as neither.  NaN is rejected.
+    `load` count as neither.  NaN is rejected, solved or loaded.
     """
 
     def __init__(self, fn):
@@ -104,11 +104,9 @@ class Memo:
                 pass
         try:
             value = float(self.fn(bits))
-            if math.isnan(value):
-                raise ValueError(f"objective returned NaN at {bits}")
             with self._lock:
-                self.n_evaluations += 1
                 self._store(bits, value)
+                self.n_evaluations += 1
             return value
         finally:
             with self._lock:
@@ -116,6 +114,8 @@ class Memo:
             done.release()
 
     def _store(self, key, value: float) -> None:
+        if math.isnan(value):
+            raise ValueError(f"NaN value at {key}")
         self._values[key] = value
         if value > self._best_value or (value == self._best_value
                                         and self._best is not None and key < self._best):
@@ -638,20 +638,20 @@ def cross_optimize(objective, d: int, g0, config: CrossConfig,
     of sweeps completed (a sweep cut short by a re-anchor does not count).
     Without tau, or with no network above the shift, the error propagates.
     Values in the result and the history are on the scale in force when
-    recorded.  Sweeps alternate direction and stop on the first of:
-    no residual left on any searched bond ("converged"), every bond capped or
-    saturated ("rank_saturated"), a sweep admitting no pivot ("stalled"),
-    the evaluation budget ("budget") or the sweep cap ("max_sweeps").  A
-    sweep after the first that none of these stops ends the run as
-    "local_max" when the memo's argmax is a one-flip maximum and the
-    interpolant's argmax, harvested as at any stop, is no better: its d
-    single flips are looked up and the missing ones solved, within the
-    budget, until one is better.
-    That check draws nothing from the rng and changes no value the sweeps
-    see, so the pivot path up to the stop is the one the run would take
-    without it while the budget does not bind and no re-anchor restarts
-    it.  A final interpolant with a singular cross matrix is neither
-    exported nor harvested.
+    recorded.  Sweeps alternate direction.  After each, the run stops on the
+    first of: the budget ("budget"), no residual left on any searched bond
+    ("converged"), every bond capped or saturated ("rank_saturated"), a sweep
+    admitting no pivot ("stalled") and, from the second sweep on and below the
+    sweep cap ("max_sweeps", checked before each sweep), a memo argmax that is a
+    one-flip maximum ("local_max"): its d flips are looked up and the missing
+    ones solved, within the budget, until one is better.  That check draws
+    nothing from the rng and changes no value the sweeps see, so the pivot path
+    up to the stop is the one the run would take without it while the budget
+    does not bind and no re-anchor restarts it.  Every stop harvests: with d <=
+    ARGMAX_ENUM_LIMIT and budget left, the final interpolant's argmax is solved
+    too.  A harvest better than a one-flip maximum sends the run on; one whose
+    tempered value overflows re-anchors it there, and it goes on.  A final
+    interpolant with a singular cross matrix is neither exported nor harvested.
 
     The budget is checked before each bond, each probe and step of its
     rook search, each re-anchored restart and each solve of the one-flip
@@ -691,60 +691,55 @@ def cross_optimize(objective, d: int, g0, config: CrossConfig,
         g, v = memo.argmax()
         return g, (v if temper is None else tempered_objective(v, temper))
 
-    def result(termination, interp):
-        try:
-            tensor = None if interp is None else interp.tensor_train()
-        except np.linalg.LinAlgError:
-            tensor = None
-        if (tensor is not None and tensor.d <= ARGMAX_ENUM_LIMIT
-                and spent() < config.n_max):
-            # the sweeps only ever sample crosses, so an exactly interpolated
-            # objective can stall with its maximizer never evaluated; when the
-            # index space is enumerable, claim the interpolant's argmax too
-            value(tensor_argmax(tensor))
-        g_best, v = best()
-        return CrossResult(g_max=g_best, value=v, n_evaluations=spent(),
-                           termination=termination, history=history,
-                           ranks=[] if interp is None else interp.ranks(), tensor=tensor)
-
-    interp = None
+    interp = tensor = None
     sweeps_done = 0
     while True:
         try:
             if interp is None:
                 interp = CrossInterpolant(value, d, g0, spent)
+            stop = None
             if spent() >= config.n_max:
-                return result("budget", interp)
-            if config.max_sweeps is not None and sweeps_done >= config.max_sweeps:
-                return result("max_sweeps", interp)
-            direction = "rl" if sweeps_done % 2 else "lr"
-            report = sweep(interp, direction, rng, config)
-            # count the sweep once its best value is on scale, so a sweep
-            # that ends in a re-anchor leaves no gap in the history
-            g_best, v = best()
-            sweeps_done += 1
-            history.append(SweepRecord(sweep=sweeps_done, n_evaluations=spent(),
-                                       max_error=report.max_error, g_max=g_best,
-                                       value=v,
-                                       cpu_seconds=time.process_time() - t0))
-            if spent() >= config.n_max:
-                return result("budget", interp)
-            # bonds at r_max or with a NaN residual record no error; a sweep
-            # of only those has not converged (all at r_max is saturation)
-            if report.bond_errors and report.max_error == 0.0:
-                return result("converged", interp)
-            if all(interp.rank(k) >= config.r_max or interp.bond_saturated(k)
-                   for k in range(1, d)):
-                return result("rank_saturated", interp)
-            if report.pivots_added == 0:
-                return result("stalled", interp)
-            if ((config.max_sweeps is None or sweeps_done < config.max_sweeps)
-                    and sweeps_done > 1
-                    and _one_flip_maximum(memo, g_best, config.n_max - spent())):
-                # the harvest may still find a better index; then sweep on
-                done = result("local_max", interp)
-                if done.g_max == g_best:
-                    return done
+                stop = "budget"
+            elif config.max_sweeps is not None and sweeps_done >= config.max_sweeps:
+                stop = "max_sweeps"
+            else:
+                report = sweep(interp, "rl" if sweeps_done % 2 else "lr", rng, config)
+                # count the sweep once its best value is on scale, so a sweep
+                # that ends in a re-anchor leaves no gap in the history
+                g_best, v = best()
+                sweeps_done += 1
+                history.append(SweepRecord(sweep=sweeps_done, n_evaluations=spent(),
+                                           max_error=report.max_error, g_max=g_best,
+                                           value=v,
+                                           cpu_seconds=time.process_time() - t0))
+                if spent() >= config.n_max:
+                    stop = "budget"
+                # bonds at r_max or with a NaN residual record no error; a sweep
+                # of only those has not converged (all at r_max is saturation)
+                elif report.bond_errors and report.max_error == 0.0:
+                    stop = "converged"
+                elif all(interp.rank(k) >= config.r_max or interp.bond_saturated(k)
+                         for k in range(1, d)):
+                    stop = "rank_saturated"
+                elif report.pivots_added == 0:
+                    stop = "stalled"
+                elif ((config.max_sweeps is None or sweeps_done < config.max_sweeps)
+                      and sweeps_done > 1
+                      and _one_flip_maximum(memo, g_best, config.n_max - spent())):
+                    stop = "local_max"
+            # the sweeps only ever sample crosses, so an exactly interpolated
+            # objective can stall with its maximizer never evaluated; when the
+            # index space is enumerable, every stop claims the interpolant's argmax
+            if stop is not None:
+                try:
+                    tensor = interp.tensor_train()
+                except np.linalg.LinAlgError:
+                    tensor = None
+                if (tensor is not None and tensor.d <= ARGMAX_ENUM_LIMIT
+                        and spent() < config.n_max):
+                    value(tensor_argmax(tensor))
+                if stop == "local_max" and memo.argmax()[0] != g_best:
+                    stop = None  # the harvest beat the one-flip maximum: sweep on
         except (OverflowError, np.linalg.LinAlgError):
             if temper is None:
                 raise
@@ -753,6 +748,11 @@ def cross_optimize(objective, d: int, g0, config: CrossConfig,
                 raise
             # re-anchor: restart from the best network, whose target is 1
             temper = TemperConfig(tau=tau, log_shift=ll_best)
-            interp = None
-            if spent() >= config.n_max:
-                return result("budget", None)
+            interp = tensor = None
+            stop = "budget" if spent() >= config.n_max else None
+        if stop is not None:
+            break
+    g_best, v = best()
+    return CrossResult(g_max=g_best, value=v, n_evaluations=spent(), termination=stop,
+                       history=history, ranks=[] if interp is None else interp.ranks(),
+                       tensor=tensor)

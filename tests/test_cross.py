@@ -153,6 +153,9 @@ class TestMemo:
         path.write_text("g,loglik\n01x,-1\n")
         with pytest.raises(ValueError):
             Memo.load(path)
+        path.write_text("g,loglik\n01,nan\n")
+        with pytest.raises(ValueError):
+            Memo.load(path)
 
     def test_thread_safety_counts(self):
         cache = Memo(lambda bits: -float(sum(b << i for i, b in enumerate(bits))))
@@ -762,6 +765,30 @@ class TestCrossOptimize:
         # the TT form agrees with the raw function at the evaluated argmax
         assert res.tensor.eval(res.g_max) == pytest.approx(res.value, rel=1e-8)
 
+    def test_overflowing_harvest_reanchors(self, monkeypatch):
+        # a seeded run found by search: its one sweep, on the start's scale,
+        # leaves an interpolant whose argmax lies over 710 nats above the
+        # start, so solving it at the max_sweeps stop overflows; the run
+        # re-anchors there and ends with its new rank-one interpolant
+        logs = 800.0 * np.random.default_rng(2113).uniform(-1.0, 1.0, size=(2,) * 4)
+        harvested, argmax = [], cross.tensor_argmax
+
+        def spy_argmax(tt):
+            harvested.append(argmax(tt))
+            return harvested[-1]
+
+        monkeypatch.setattr(cross, "tensor_argmax", spy_argmax)
+        memo = Memo(lambda bits: float(logs[bits]))
+        res = cross_optimize(memo, 4, (0,) * 4,
+                             CrossConfig(r_max=2, n_max=10_000, seed=2113, max_sweeps=1),
+                             tau=1.0)
+        h, (rec,), ll0 = harvested[0], res.history, memo.lookup((0,) * 4)
+        assert rec.value == math.exp(memo.lookup(rec.g_max) - ll0)
+        assert memo.lookup(h) - ll0 > 710.0
+        assert (res.termination, res.g_max, res.value) == ("max_sweeps", h, 1.0)
+        assert res.ranks == [1] * 5 and res.tensor.ranks() == res.ranks
+        assert res.tensor.eval(h) == 1.0
+
     def test_single_bond_exhausts(self):
         # d=2: one bond; the 2x2 case from the worked example
         values = {(0, 0): 1.0, (0, 1): 2.0, (1, 0): 3.0, (1, 1): 4.0}
@@ -839,6 +866,39 @@ class TestLocalMaxStop:
             assert capped.termination == "max_sweeps"
             assert [record(r) for r in capped.history] == [record(r) for r in history]
         assert min(stopped.values()) >= 8
+
+    def test_better_harvest_sends_the_run_on(self, monkeypatch):
+        # a seeded run found by search: after sweep 2 the memo's argmax is a
+        # one-flip maximum, but the interpolant's argmax beats it; the run
+        # does not end local_max there, sweeps on and ends on that index
+        events = []
+        sweep, check, argmax = cross.sweep, cross._one_flip_maximum, cross.tensor_argmax
+
+        def spy_sweep(*args):
+            events.append(("sweep",))
+            return sweep(*args)
+
+        def spy_check(memo, g, budget):
+            events.append(("check", g, check(memo, g, budget)))
+            return events[-1][2]
+
+        def spy_argmax(tt):
+            events.append(("harvest", argmax(tt)))
+            return events[-1][1]
+
+        monkeypatch.setattr(cross, "sweep", spy_sweep)
+        monkeypatch.setattr(cross, "_one_flip_maximum", spy_check)
+        monkeypatch.setattr(cross, "tensor_argmax", spy_argmax)
+        f, _ = random_tensor_fn(np.random.default_rng(33), 5)
+        memo = Memo(f)
+        res = cross_optimize(memo, 5, (0,) * 5, CrossConfig(r_max=4, n_max=10_000, seed=33))
+        first = next(i for i, e in enumerate(events) if e[0] == "check" and e[2])
+        stop_sweep = events[:first].count(("sweep",))
+        g, (step, h) = events[first][1], events[first + 1]
+        assert stop_sweep == 2 and step == "harvest"
+        assert memo.lookup(h) > memo.lookup(g)
+        assert len(res.history) > stop_sweep
+        assert res.g_max == h and res.termination == "rank_saturated"
 
 
 class TestConfigValidation:
