@@ -143,7 +143,9 @@ class Memo:
     @classmethod
     def load(cls, path) -> "Memo":
         """Rebuild from a dump, keyed by 0/1 tuples; the result answers the
-        indices the file holds and has no function to solve others."""
+        indices the file holds and has no function to solve others.  An
+        index listed twice, or a value of +inf (no log-likelihood), raises
+        ValueError, as neither can come from `save`."""
         memo = cls(None)
         with open(path) as fh:
             header = fh.readline().strip()
@@ -156,7 +158,12 @@ class Memo:
                 key, _, value = line.partition(",")
                 if not key or set(key) - {"0", "1"}:
                     raise ValueError(f"not a 01-string: {key!r}")
-                memo._store(tuple(int(c) for c in key), float(value))
+                bits, value = tuple(int(c) for c in key), float(value)
+                if bits in memo._values:
+                    raise ValueError(f"index {key} listed twice")
+                if value == math.inf:
+                    raise ValueError(f"value +inf at {key}")
+                memo._store(bits, value)
         return memo
 
 

@@ -26,7 +26,7 @@ from .epidemic import (
     Trajectory,
     chain_network,
     network_error,
-    pack_adjacency,
+    pair_order,
     ssa_simulate,
     write_trajectory,
 )
@@ -58,30 +58,31 @@ def score_init(data: Trajectory, threshold: float = SCORE_THRESHOLD) -> Adjacenc
     the best score get an edge, and a trajectory with no usable infection
     events maps to the empty network.
     """
-    states = data.states.astype(np.float64)
     n = data.n_nodes
-    up = ((states[1:] == 1) & (states[:-1] == 0)).astype(np.float64)
-    sus = states[:-1] == 0
-    inf_prev = states[:-1] == 1.0
+    prev, nxt = data.states[:-1], data.states[1:]
+    # the regressors of every step, each node's state before it and the
+    # intercept, made once: node m's design is a selection of their rows
+    # and columns, the values lstsq was always given
+    x = np.ones((prev.shape[0], n + 1))
+    x[:, :n] = prev
+    sus, up = (prev == 0).T, (nxt > prev).T  # (nodes, steps)
     scores = np.zeros((n, n))
     for m in range(n):
-        rows = sus[:, m]
-        if int(rows.sum()) < 2 or up[rows, m].sum() == 0:
+        rows = np.flatnonzero(sus[m])
+        flips = up[m].take(rows)
+        if rows.size < 2 or not flips.any():
             continue
-        others = [j for j in range(n) if j != m]
-        design = np.column_stack([inf_prev[np.ix_(rows, others)].astype(np.float64),
-                                  np.ones(int(rows.sum()))])
-        coef, *_ = np.linalg.lstsq(design, up[rows, m], rcond=None)
-        scores[m, others] = coef[:-1]
+        others = np.delete(np.arange(n + 1), m)  # the other nodes and the intercept
+        design = x.take(rows, axis=0)[:, others]
+        coef, *_ = np.linalg.lstsq(design, flips.astype(np.float64), rcond=None)
+        scores[m, others[:-1]] = coef[:-1]
     scores = np.maximum(scores, 0.0)
     scores = scores + scores.T
-    np.fill_diagonal(scores, 0.0)
     s_max = scores.max(initial=0.0)
     if s_max <= 0.0:
         return AdjacencyVector.empty(n)
-    adj = (scores >= threshold * s_max).astype(np.int64)
-    np.fill_diagonal(adj, 0)
-    return pack_adjacency(adj)
+    edge = scores >= threshold * s_max
+    return AdjacencyVector(tuple(int(edge[m, k]) for m, k in pair_order(n)))
 
 
 def likelihood_memo(data: Trajectory, params: EpidemicParams) -> Memo:

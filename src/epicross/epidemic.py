@@ -8,12 +8,16 @@ sits in the least significant bit.
 
 Transition probabilities come from one routine, transition_columns: the
 entries of exp(Q dt) the caller names, from uniformized columns, each with
-a checked relative error bound.  A solve builds no scipy matrix: the
-generator and its jump chain P = I + Q/lam are value vectors on a sparsity
-pattern shared by every network of N nodes, built once per network and
-shared by every step length (a likelihood solve's step groups), each
-series term is scipy's CSC kernel run into reused buffers, and the last
-substep sums only the named entries of its terms.
+a checked relative error bound.  A solve builds no scipy matrix, no index
+array and no block of columns: the generator and its jump chain
+P = I + Q/lam are value vectors on a sparsity pattern shared by every
+network of N nodes, built once per network and shared by every step length
+(a likelihood solve's step groups); the trajectory holds, per step length,
+a SolvePlan with the checked positions of the named entries and source
+states; each thread holds the two term buffers its series run in.  The
+first term copies P's columns, each later one is scipy's CSC kernel run
+into a buffer, and the last substep sums only the named entries of its
+terms.
 A large block of columns is run as two halves, each stopped on its own
 named entries, the second in one helper process where a second CPU
 allows: the bytes do not depend on where it runs.
@@ -85,6 +89,9 @@ def nodes_from_pair_count(d: int) -> int:
     return n
 
 
+_BIT = {0: 0, 1: 1}  # a number equal to 0 or 1 (bool, numpy integer, ...) to the int
+
+
 @dataclass(frozen=True)
 class AdjacencyVector:
     """Upper-triangle bit vector of a simple undirected graph.
@@ -95,16 +102,19 @@ class AdjacencyVector:
         Edge indicators in column-wise upper-triangle order, length
         N(N-1)/2.
 
-    `n_nodes`, N, is computed once, as the length is checked.
+    `n_nodes`, N, is computed once, as the length is checked.  A bit may
+    be any number equal to 0 or 1 (a bool, a numpy integer); it is stored
+    as the int.
     """
 
     bits: tuple[int, ...]
     n_nodes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bits = tuple(map(int, self.bits))
-        if not set(bits) <= {0, 1}:
-            raise ValueError("adjacency bits must be 0 or 1")
+        try:  # one pass checks each bit and makes it the int
+            bits = tuple(map(_BIT.__getitem__, self.bits))
+        except (KeyError, TypeError):
+            raise ValueError("adjacency bits must be 0 or 1") from None
         object.__setattr__(self, "bits", bits)
         # raises on an impossible length
         object.__setattr__(self, "n_nodes", nodes_from_pair_count(len(bits)))
@@ -372,13 +382,90 @@ def transition_columns(rate: RateMatrix, dt: float, cols, entries) -> np.ndarray
     two or more CPUs, a helper process propagates the second half while
     the caller propagates the first; otherwise the caller runs both.  The
     bytes are the same either way.
+
+    The SolvePlan of a step group (Trajectory.step_groups), passed with
+    that group's own `cols` for `dim` states, was checked when it was
+    made and is run as it is; any other `entries` is checked and planned
+    on every call.
     """
-    cols, series = _prepare(rate, dt, cols)
+    if not (type(entries) is SolvePlan and entries.cols is cols and entries.dim == rate.dim):
+        entries = SolvePlan(rate.dim, cols, entries)
+    series = _prepare(rate, dt)
     if series is None:  # exp(Q dt) = I
-        return (cols[entries[1]] == entries[0]).astype(float)
-    if rate.dim * cols.size >= SPLIT_MIN_WORK:
-        return _halves(series, cols, entries)
-    return _block(series, cols, entries)
+        rows, pos = entries
+        return (entries.cols[pos] == rows).astype(float)
+    if entries.first is None:
+        return _block(series, entries.blocks[0])
+    return _halves(series, entries)
+
+
+class _Block(NamedTuple):
+    """One block of `k` source columns as _block runs it: the flat
+    positions, in a dim x k term, of the ones that start the series
+    (entry (cols[i], i)) and of the named entries (rows[i], pos[i]), and
+    the first term P @ start as a copy of P's columns `cols`: `first_to`
+    in a term from `first_from` in P's values."""
+
+    k: int
+    start: np.ndarray
+    named: np.ndarray
+    first_to: np.ndarray
+    first_from: np.ndarray
+
+
+def _plan_block(dim: int, cols: np.ndarray, rows: np.ndarray, pos: np.ndarray) -> _Block:
+    k = cols.size
+    _, indices, indptr, _, _ = _generator_pattern(dim.bit_length() - 1)
+    start = cols * k + np.arange(k)
+    named = rows.astype(np.intp) * k + pos
+    # every column of the pattern holds N + 1 entries
+    first_from = (indptr[cols][:, None] + np.arange(indptr[1])).ravel()
+    first_to = indices[first_from].astype(np.intp) * k + np.repeat(np.arange(k), indptr[1])
+    for a in (start, named, first_to, first_from):
+        a.flags.writeable = False
+    return _Block(k, start, named, first_to, first_from)
+
+
+class SolvePlan(tuple):
+    """Named entries (rows, pos) of exp(Q dt)[:, cols], checked against
+    `cols` and `dim` states, and how a solve runs them.
+
+    A tuple of the index arrays (rows, pos), with attributes `dim`,
+    `cols` (the source states, int64), `blocks` (one _Block, or two, the
+    halves of `cols`, from SPLIT_MIN_WORK states x columns on) and
+    `first`, which entries the first half names (None for one block).
+    Trajectory.step_groups makes one per step group, once, so a solve
+    builds no index array; transition_columns makes one per call for any
+    other input.  Raises ValueError on indices out of range.
+    """
+
+    def __new__(cls, dim: int, cols, entries):
+        cols = np.atleast_1d(np.asarray(cols, dtype=np.int64))
+        if cols.ndim != 1:
+            raise ValueError("column indices must be one-dimensional")
+        k = cols.size
+        if k and (cols.min() < 0 or cols.max() >= dim):
+            raise ValueError("column indices out of range")
+        rows, pos = (np.asarray(a) for a in entries)
+        if (rows.ndim != 1 or rows.shape != pos.shape
+                or rows.dtype.kind not in "iu" or pos.dtype.kind not in "iu"):
+            raise ValueError("entries must be two 1-d integer arrays of one length")
+        if rows.size and (rows.min() < 0 or rows.max() >= dim
+                          or pos.min() < 0 or pos.max() >= k):
+            raise ValueError("entry indices out of range")
+        plan = super().__new__(cls, (rows, pos))
+        plan.dim, plan.cols = dim, cols
+        if dim * k < SPLIT_MIN_WORK:
+            plan.first = None
+            plan.blocks = (_plan_block(dim, cols, rows, pos),)
+        else:
+            half = k // 2
+            first = pos < half
+            first.flags.writeable = False
+            plan.first = first
+            plan.blocks = (_plan_block(dim, cols[:half], rows[first], pos[first]),
+                           _plan_block(dim, cols[half:], rows[~first], pos[~first] - half))
+        return plan
 
 
 class _Series(NamedTuple):
@@ -395,47 +482,71 @@ class _Series(NamedTuple):
     min_terms: int       # terms after which a zero named entry is structural
 
 
-def _prepare(rate: RateMatrix, dt: float, cols) -> tuple[np.ndarray, _Series | None]:
-    """Validated source columns and the series that propagates them, or
-    None when exp(Q dt) is the identity (no rate or no time)."""
+def _prepare(rate: RateMatrix, dt: float) -> _Series | None:
+    """The series that propagates columns over `dt`, or None when
+    exp(Q dt) is the identity (no rate or no time)."""
     dt = float(dt)
     if not math.isfinite(dt) or dt < 0:
         raise ValueError(f"dt must be finite and nonnegative, got {dt}")
-    cols = np.atleast_1d(np.asarray(cols, dtype=np.int64))
-    if cols.size and (cols.min() < 0 or cols.max() >= rate.dim):
-        raise ValueError("column indices out of range")
     if rate.jump is None or dt == 0.0:
-        return cols, None
+        return None
     n_sub = max(1, math.ceil(rate.lam * dt / 200.0))  # exp(-mu) far from underflow
     n = rate.dim.bit_length() - 1
     _, indices, indptr, _, _ = _generator_pattern(n)
-    return cols, _Series(indptr, indices, rate.jump, rate.lam * dt / n_sub, n_sub, 2 * n)
+    return _Series(indptr, indices, rate.jump, rate.lam * dt / n_sub, n_sub, 2 * n)
 
 
-def _block(series: _Series, cols: np.ndarray, entries) -> np.ndarray:
+_local = threading.local()  # each thread's term buffers
+
+
+def _term_buffers(size: int):
+    """Two term buffers of `size` floats, this thread's own, and a
+    function per buffer that zeroes it: +0.0 is all zero bytes, and
+    filling a byte view is a memset, several times quicker than a float
+    fill.  The buffers are one array, kept for the life of the thread and
+    grown to the largest block it has run, so a solve allocates no block
+    array."""
+    got = getattr(_local, "buffers", None)
+    if got is None or got[0] != size:
+        store = getattr(_local, "store", None)
+        if store is None or store.size < 2 * size:
+            store = _local.store = np.empty(2 * size)
+        bufs = (store[:size], store[size:2 * size])
+        got = _local.buffers = (size, bufs, tuple(b.view(np.uint8).fill for b in bufs))
+    return got[1], got[2]
+
+
+def _block(series: _Series, block: _Block) -> np.ndarray:
     """The series of transition_columns on one block of source columns:
     the named entries of its sums, stopped on those entries alone.
 
-    Each term is written by scipy's private CSC kernel
-    `_sparsetools.csc_matvecs` into one of two reused, zero-filled buffers,
-    the second of which starts as the indicator vectors of `cols`.  The
-    last substep, the only one unless lam dt > 200, adds up only the named
-    entries of its terms, as nothing else reads its sum; an inner substep
-    sums the whole block, the next substep's start.  Either way a named
-    entry sees the same products and sums in the same order.  The kernel
-    is the one `csc_array @` calls (csc_matvec for one column does the
-    same arithmetic), so the bytes are those of `jump @ term`;
+    Each term is written into one of this thread's two term buffers,
+    zero-filled first; the second starts as the indicator vectors of the
+    columns.  The first term, P applied to them, is a copy of P's columns
+    (each entry is the one product by 1.0 that the kernel would add to
+    zeros); every later one is scipy's private CSC kernel
+    `_sparsetools.csc_matvecs`.  The last substep, the only one unless
+    lam dt > 200, adds up only the named entries of its terms, as nothing
+    else reads its sum; an inner substep sums the whole block, the next
+    substep's start.  Either way a named entry sees the same products and
+    sums in the same order.  The kernel is the one `csc_array @` calls
+    (csc_matvec for one column does the same arithmetic), so the bytes
+    are those of `jump @ term`;
     test_columns_bit_identical_to_scipy_jump_matrix pins them.
+
+    The stop test reads the smallest named entry only where it could
+    pass: entries only grow, each by at most the tail at the last
+    reading, so until the tail falls to RTOL times twice that bound the
+    test must fail, and it stops at the same term as a reading on every
+    term.
     """
     indptr, indices, data, mu, n_sub, min_terms = series
+    k, start, named, first_to, first_from = block
     dim = indptr.size - 1
-    named = np.ravel_multi_index(entries, (dim, cols.size))  # into a flat term
-    bufs = (np.empty(dim * cols.size), np.zeros(dim * cols.size))
-    # +0.0 is all zero bytes, and filling a byte view is a memset, several
-    # times quicker than a float fill
-    zero = tuple(b.view(np.uint8) for b in bufs)
+    bufs, zero = _term_buffers(dim * k)
+    zero[1](0)
     v = bufs[1]
-    v[cols * cols.size + np.arange(cols.size)] = 1.0
+    v[start] = 1.0
     lost = 0.0  # neglected mass of the finished substeps
     terms = 0   # jumps applied so far, over all substeps
     for s in range(n_sub):
@@ -444,6 +555,7 @@ def _block(series: _Series, cols: np.ndarray, entries) -> np.ndarray:
         w = math.exp(-mu)
         term = v
         acc = w * v[keep]
+        cap = math.inf  # twice a bound on any later reading of the minimum
         for j in range(MAX_TERMS + 1):
             # bound on sum_{i > j} w_i; the ratios w_{i+1}/w_i fall below
             # mu/(j+2) < 1 once j + 2 > mu
@@ -451,14 +563,16 @@ def _block(series: _Series, cols: np.ndarray, entries) -> np.ndarray:
             tail = w_next / (1.0 - mu / (j + 2)) if j + 2 > mu else math.inf
             if not last:
                 target = INNER_TARGET
+            elif tail <= RTOL - lost and tail <= RTOL * cap:
+                low = acc.min(initial=1.0)
+                if low == 0.0 and terms + j >= min_terms:
+                    # a named entry still zero is structural
+                    low = acc[acc > 0.0].min(initial=1.0)
+                target = RTOL * low - lost
+                # a zero minimum may turn into a masked one: no bound then
+                cap = 2.0 * (low + tail) if low > 0.0 else math.inf
             else:
-                target = RTOL - lost
-                if tail <= target:
-                    low = acc.min(initial=1.0)
-                    if low == 0.0 and terms + j >= min_terms:
-                        # a named entry still zero is structural
-                        low = acc[acc > 0.0].min(initial=1.0)
-                    target = RTOL * low - lost
+                target = 0.0  # the test cannot pass: no reading
             if 0.0 < target and tail <= target:
                 break
             if j == MAX_TERMS:
@@ -466,8 +580,11 @@ def _block(series: _Series, cols: np.ndarray, entries) -> np.ndarray:
                     f"uniformization missed relative accuracy {RTOL:g} within "
                     f"{MAX_TERMS} terms (Poisson mean {mu:.6g})")
             nxt = bufs[j & 1]
-            zero[j & 1].fill(0)  # the kernel adds P @ term into it
-            _sparsetools.csc_matvecs(dim, dim, cols.size, indptr, indices, data, term, nxt)
+            zero[j & 1](0)  # the kernel adds P @ term into it
+            if s or j:
+                _sparsetools.csc_matvecs(dim, dim, k, indptr, indices, data, term, nxt)
+            else:  # P @ start: the kernel's sums would add only zeros to them
+                nxt[first_to] = data[first_from]
             term = nxt
             w = w_next
             acc += term[keep] * w
@@ -499,17 +616,14 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _halves(series: _Series, cols: np.ndarray, entries) -> np.ndarray:
-    """The named entries, each half of `cols` run as a block of its own:
-    the second in the helper while the caller runs the first when it can,
-    else in the caller after the first.  An exception raised in the helper
-    is raised here."""
-    half = cols.size // 2
-    rows, pos = (np.asarray(a) for a in entries)
-    first = pos < half
-    mine = (series, cols[:half], (rows[first], pos[first]))
-    theirs = (series, cols[half:], (rows[~first], pos[~first] - half))
-    p = np.empty(rows.shape)
+def _halves(series: _Series, plan: SolvePlan) -> np.ndarray:
+    """The named entries, each half of the plan's columns run as a block
+    of its own: the second in the helper while the caller runs the first
+    when it can, else in the caller after the first.  An exception raised
+    in the helper is raised here."""
+    first = plan.first
+    mine, theirs = plan.blocks
+    p = np.empty(first.shape)
     p_mine = None
     if _cpus() > 1 and _helper_lock.acquire(blocking=False):
         try:
@@ -517,8 +631,8 @@ def _halves(series: _Series, cols: np.ndarray, entries) -> np.ndarray:
             if helper is not None:
                 pid, conn = helper
                 _keep_apart(pid)
-                conn.send(theirs)
-                p[first] = p_mine = _block(*mine)
+                conn.send((series, theirs))
+                p[first] = p_mine = _block(series, mine)
                 p[~first] = _receive(conn)
                 return p
         except (EOFError, OSError):  # the helper has died
@@ -529,8 +643,8 @@ def _halves(series: _Series, cols: np.ndarray, entries) -> np.ndarray:
         finally:
             _helper_lock.release()
     if p_mine is None:
-        p[first] = _block(*mine)
-    p[~first] = _block(*theirs)
+        p[first] = _block(series, mine)
+    p[~first] = _block(series, theirs)
     return p
 
 
@@ -587,7 +701,7 @@ def _serve(conn) -> None:
     up (EOF here, or a broken pipe mid-exchange)."""
     while True:
         try:
-            block = conn.recv()  # (series, cols, entries)
+            block = conn.recv()  # (series, block)
         except EOFError:
             return
         try:
@@ -678,6 +792,11 @@ class Trajectory:
         says how often it was observed.  Grid times built as k*dt differ
         by ulps, so lengths equal to 12 significant digits share a group
         and dt is the exact decimal value of those digits.
+
+        `entries` is the group's SolvePlan: checked once, here, with the
+        flat positions every solve of the group reads (those of the two
+        halves too, for a block large enough to be split), so that
+        transition_columns(rate, dt, sources, entries) plans nothing.
         """
         dim = 1 << self.n_nodes
         idx = self.state_indices()
@@ -694,10 +813,10 @@ class Trajectory:
         for k, dt in enumerate(lengths):
             sel = key == k
             sources, pos = np.unique(prev[sel], return_inverse=True)
-            entries, n_obs = (nxt[sel], pos), counts[sel]
-            for a in (sources, *entries, n_obs):
+            plan, n_obs = SolvePlan(dim, sources, (nxt[sel], pos)), counts[sel]
+            for a in (plan.cols, *plan, n_obs):
                 a.flags.writeable = False  # shared by every solve
-            groups.append((float(dt), sources, entries, n_obs))
+            groups.append((float(dt), plan.cols, plan, n_obs))
         return tuple(groups)
 
 

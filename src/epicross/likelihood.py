@@ -29,7 +29,8 @@ def log_likelihood(g: AdjacencyVector, data: Trajectory,
     """Exact log-likelihood of `g` for the observed trajectory.
 
     The steps grouped by length and counted per distinct (prev, next)
-    state pair, c_ab, come from `data.step_groups`, built once per
+    state pair, c_ab, and each group's solve plan (the checked positions
+    its series reads) come from `data.step_groups`, built once per
     trajectory; the generator's sparsity pattern is built once per node
     count.  Per solve, the network's generator values and its jump chain
     P = I + Q/lam are filled in once, in one pass, and shared by every

@@ -156,6 +156,14 @@ class TestMemo:
         path.write_text("g,loglik\n01,nan\n")
         with pytest.raises(ValueError):
             Memo.load(path)
+        # an index listed twice would keep the later value but the argmax
+        # of the earlier one; +inf is no log-likelihood
+        path.write_text("g,loglik\n01,-1\n00,-1\n01,-5\n")
+        with pytest.raises(ValueError, match="listed twice"):
+            Memo.load(path)
+        path.write_text("g,loglik\n01,inf\n00,-1\n")
+        with pytest.raises(ValueError, match="inf"):
+            Memo.load(path)
 
     def test_thread_safety_counts(self):
         cache = Memo(lambda bits: -float(sum(b << i for i, b in enumerate(bits))))

@@ -76,6 +76,29 @@ class TestScoreInit:
                 good += 1
         assert good >= 8
 
+    def test_benchmark_chain_inputs_pinned(self):
+        # the start network of the 24 chain inputs of the benchmark's seeds
+        # 1-3 (chain9_flagship: datasets 0-1, chain6_small: 0-5, seeds
+        # 100 s + i), frozen before the designs were sliced from one
+        # regressor array: lstsq sees the same bytes, so nothing moves
+        pinned = {9: ["101001010100101000011000000100000001",
+                      "101001000100001000001000001100001001",
+                      "101001000100101000101010000100000001",
+                      "101001001100001000011000000100000001",
+                      "101001000100001000001000000100000001",
+                      "101001000100011000011000000100010001"],
+                  6: ["101001000100011", "101001000100001", "101001010100001",
+                      "000111110100001", "101001000100001", "101001000100001",
+                      "111001001100001", "101001000100001", "101001000100001",
+                      "111101010100101", "101111101101001", "101001001110101",
+                      "101011000100001", "101011000100001", "101001000100001",
+                      "101001000100001", "101001000100001", "101001000100001"]}
+        for n, want in pinned.items():
+            per_seed = len(want) // 3
+            got = [score_init(chain_data(n, 200.0, seed=100 * s + i)).bitstring
+                   for s in (1, 2, 3) for i in range(per_seed)]
+            assert got == want
+
     def test_threshold_is_relative(self):
         data = chain_data(5, 100.0, seed=1)
         loose = score_init(data, threshold=0.01)

@@ -138,6 +138,9 @@ class TestAdjacency:
         with pytest.raises(ValueError):
             AdjacencyVector((0, 2, 0))
         with pytest.raises(ValueError):
+            AdjacencyVector((0, 0.5, 0))  # not a bit, though int() makes it one
+        assert AdjacencyVector((True, np.int64(0), 1.0)).bits == (1, 0, 1)
+        with pytest.raises(ValueError):
             AdjacencyVector((0, 1))  # 2 is not N(N-1)/2
 
     def test_pack_unpack_roundtrip(self):
@@ -375,6 +378,31 @@ class TestTransitionMatrix:
         assert p[1] == pytest.approx(1.0, abs=1e-12)
         assert p[2] > 0.0
 
+    def test_outside_entries_are_checked(self):
+        # plain (rows, pos) input, and a step group's plan passed with other
+        # columns or states, are checked on every call; with no rate
+        # (exp(Q dt) = I) too
+        good = (np.array([0, 5]), np.array([0, 1]))
+        t = Trajectory(np.array([0.0, 0.1, 0.2]), np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0]]))
+        (dt, sources, plan, _), = t.step_groups
+        for params in (EpidemicParams(1.0, 0.5, 0.01), EpidemicParams(0.0, 0.0, 0.0)):
+            rate = build_generator(chain_network(3), params)
+            for cols, entries in [([0, 8], good), ([-1, 2], good), ([0, 2], (np.array([0, 8]), good[1])),
+                                  ([0, 2], (np.array([-1, 0]), good[1])),
+                                  ([0, 2], (good[0], np.array([0, 2]))),
+                                  ([0, 2], (good[0], np.array([-1, 0]))),
+                                  ([0, 2], (good[0], np.array([0]))),
+                                  ([0, 2], (good[0], np.array([0.0, 1.0]))),
+                                  (np.array([sources[0], 8]), plan)]:
+                with pytest.raises(ValueError):
+                    transition_columns(rate, 0.1, cols, entries)
+            assert transition_columns(rate, dt, sources, plan).shape == (2,)
+            assert transition_columns(rate, dt, [0, 2], good).shape == (2,)
+        # the plan of 3 nodes, given with a 4-node generator, is planned afresh
+        rate = build_generator(chain_network(4), EpidemicParams(1.0, 0.5, 0.01))
+        want = transition_columns(rate, dt, sources, tuple(np.array(a) for a in plan))
+        assert transition_columns(rate, dt, sources, plan).tobytes() == want.tobytes()
+
     def test_columns_bit_identical_to_scipy_jump_matrix(self):
         rng = np.random.default_rng(17)
         for trial in range(24):
@@ -396,25 +424,35 @@ class TestTransitionMatrix:
     def test_one_substep_block_holds_two_block_arrays(self):
         # the last substep sums only the named entries, so a one-substep
         # block of 512 states x 75 columns peaks at its two term buffers,
-        # with no whole-block sum or weighted-term scratch beside them
+        # with no whole-block sum or weighted-term scratch beside them; the
+        # buffers are the thread's own, so a second block of that size
+        # allocates no block array at all
         rate = build_generator(chain_network(9), EpidemicParams(1.0, 0.5, 0.01))
         rng = np.random.default_rng(3)
-        cols, series = epidemic._prepare(rate, 0.1, np.arange(0, 450, 6))
-        entries = (rng.integers(0, rate.dim, size=300), rng.integers(0, cols.size, size=300))
+        series = epidemic._prepare(rate, 0.1)
+        cols = np.arange(0, 450, 6)
+        block = epidemic._plan_block(rate.dim, cols, rng.integers(0, rate.dim, size=300),
+                                     rng.integers(0, cols.size, size=300))
         assert series.n_sub == 1
+        peaks = []
         tracemalloc.start()
         try:
-            epidemic._block(series, cols, entries)
-            peak = tracemalloc.get_traced_memory()[1]
+            for _ in range(2):
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                epidemic._block(series, block)
+                peaks.append(tracemalloc.get_traced_memory()[1] - held)
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * rate.dim * cols.size * 8
+        block_array = rate.dim * cols.size * 8
+        assert peaks[0] < 2.5 * block_array and peaks[1] < 0.1 * block_array
 
 
 class TestStopRule:
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
-        """Count the series terms: every term is one kernel call."""
+        """Count the series terms after the first: each is one kernel call
+        (the first, P applied to the start vectors, copies P's columns)."""
         calls = []
         kernel = epidemic._sparsetools
 
@@ -440,7 +478,7 @@ class TestStopRule:
             want, jumps = reference_series(rate, dt, cols, entries)
             assert p[0] == 0.0 and np.all(p[1:] > 0.0)
             assert p.tobytes() == want.tobytes()
-            assert len(kernel_calls) == jumps >= 2 * 3
+            assert len(kernel_calls) + 1 == jumps >= 2 * 3
 
     def test_positive_entries_stop_at_the_masked_rule(self, kernel_calls):
         # with every named entry positive, the minimum over all of them is
@@ -465,7 +503,38 @@ class TestStopRule:
             want, jumps = reference_series(rate, dt, cols, entries)
             assert np.all(p > 0.0)
             assert p.tobytes() == want.tobytes()
-            assert len(kernel_calls) == jumps
+            assert len(kernel_calls) + 1 == jumps
+
+
+    def test_skipped_readings_stop_at_the_masked_rule(self, kernel_calls):
+        # the last substep reads the smallest named entry only where the
+        # stop test could pass; on random blocks, with structural zeros
+        # (eps = 0 and no edges), entries that flip away late and lam dt
+        # > 200, it stops at the term of the rule that reads on every term
+        rng = np.random.default_rng(47)
+        for trial in range(40):
+            n = int(rng.integers(2, 8))
+            beta, gamma, eps = rng.uniform(0.05, 2.0, size=3)
+            g = random_network(rng, n)
+            if trial % 3 == 0:  # states not reached: named entries stay zero
+                eps = 0.0
+                if trial % 2 == 0:
+                    g = AdjacencyVector.empty(n)
+            rate = build_generator(g, EpidemicParams(beta, gamma, eps))
+            dt = float(rng.uniform(0.005, 3.0))
+            if trial % 5 == 4:
+                dt = float(rng.uniform(210.0, 700.0)) / rate.lam
+            cols = np.sort(rng.choice(rate.dim, size=min(int(rng.integers(1, 9)), rate.dim),
+                                      replace=False))
+            if trial % 3 == 0:
+                cols[0] = 0  # all susceptible: never leaves when eps = 0
+            m = int(rng.integers(1, 4 * cols.size + 1))
+            entries = (rng.integers(0, rate.dim, size=m), rng.integers(0, cols.size, size=m))
+            kernel_calls.clear()
+            p = transition_columns(rate, dt, cols, entries)
+            want, jumps = reference_series(rate, dt, cols, entries)
+            assert p.tobytes() == want.tobytes()
+            assert len(kernel_calls) + 1 == jumps
 
 
 # A block large enough to be split (512 states x 64 columns), as code that a
@@ -523,6 +592,18 @@ def split_cases():
         yield rate, dt, cols, (rows, pos)
 
 
+def split_plan(rate, cols, entries):
+    """The SolvePlan of `cols` run as two halves, whatever its size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(epidemic, "SPLIT_MIN_WORK", 0)
+        return epidemic.SolvePlan(rate.dim, cols, entries)
+
+
+def whole_block(series, plan):
+    """The plan's columns run as one block."""
+    return epidemic._block(series, epidemic._plan_block(plan.dim, plan.cols, *plan))
+
+
 def halves_reference(rate, dt, cols, entries):
     """reference_columns run on each half of `cols` on its own."""
     half = len(cols) // 2
@@ -545,14 +626,15 @@ class TestSplit:
         # the helper's halves against the caller's, and each half against
         # the reference series run on that half alone
         for rate, dt, cols, entries in split_cases():
-            cols, series = epidemic._prepare(rate, dt, cols)
-            split = epidemic._halves(series, cols, entries)
+            series = epidemic._prepare(rate, dt)
+            plan = split_plan(rate, cols, entries)
+            split = epidemic._halves(series, plan)
             assert epidemic._helper is not None
             with epidemic._helper_lock:  # the caller runs both halves
-                serial = epidemic._halves(series, cols, entries)
+                serial = epidemic._halves(series, plan)
             assert split.tobytes() == serial.tobytes()
             large = rate.dim * cols.size >= epidemic.SPLIT_MIN_WORK
-            want = split if large else epidemic._block(series, cols, entries)
+            want = split if large else whole_block(series, plan)
             assert transition_columns(rate, dt, cols, entries).tobytes() == want.tobytes()
             want = halves_reference(rate, dt, cols, entries)
             assert split.tobytes() == want.tobytes()
@@ -562,29 +644,30 @@ class TestSplit:
         # out of each named entry, so they differ by at most that, plus
         # rounding
         for rate, dt, cols, entries in split_cases():
-            cols, series = epidemic._prepare(rate, dt, cols)
+            series = epidemic._prepare(rate, dt)
+            plan = split_plan(rate, cols, entries)
             with epidemic._helper_lock:
-                split = epidemic._halves(series, cols, entries)
-            whole = epidemic._block(series, cols, entries)
+                split = epidemic._halves(series, plan)
+            whole = whole_block(series, plan)
             assert np.all((split == 0.0) == (whole == 0.0))
             np.testing.assert_allclose(split, whole, rtol=2 * epidemic.RTOL + 1e-14, atol=0.0)
 
     def test_busy_or_dead_helper_runs_serially(self, two_cpus):
         rate, dt, cols, entries = big_case()
-        cols, series = epidemic._prepare(rate, dt, cols)
-        want = epidemic._halves(series, cols, entries).tobytes()
+        series, plan = epidemic._prepare(rate, dt), epidemic.SolvePlan(rate.dim, cols, entries)
+        want = epidemic._halves(series, plan).tobytes()
         helper = epidemic._helper[0]
         with epidemic._helper_lock:  # another thread's split in flight
             assert transition_columns(rate, dt, cols, entries).tobytes() == want
         os.kill(helper, signal.SIGKILL)
-        assert epidemic._halves(series, cols, entries).tobytes() == want
+        assert epidemic._halves(series, plan).tobytes() == want
         assert epidemic._helper is None  # reaped
-        assert epidemic._halves(series, cols, entries).tobytes() == want
+        assert epidemic._halves(series, plan).tobytes() == want
         assert epidemic._helper[0] != helper  # a new helper
 
     def test_helper_error_reaches_caller(self, monkeypatch, two_cpus):
         rate, dt, cols, entries = big_case()
-        cols, series = epidemic._prepare(rate, dt, cols)
+        series, plan = epidemic._prepare(rate, dt), epidemic.SolvePlan(rate.dim, cols, entries)
         epidemic._stop_helper()
         max_terms = epidemic.MAX_TERMS
         monkeypatch.setattr(epidemic, "MAX_TERMS", 3)
@@ -592,7 +675,7 @@ class TestSplit:
             assert epidemic._running_helper() is not None  # forked with 3 terms
             monkeypatch.setattr(epidemic, "MAX_TERMS", max_terms)
             with pytest.raises(ArithmeticError, match="within 3 terms"):
-                epidemic._halves(series, cols, entries)
+                epidemic._halves(series, plan)
         finally:
             epidemic._stop_helper()
 
@@ -604,19 +687,19 @@ class TestSplit:
 import os, sys
 from epicross import epidemic
 epidemic._cpus = lambda: 2
-cols, series = epidemic._prepare(rate, dt, cols)
+series, plan = epidemic._prepare(rate, dt), epidemic.SolvePlan(rate.dim, cols, entries)
 with epidemic._helper_lock:
-    want = epidemic._halves(series, cols, entries).tobytes()
-assert epidemic._halves(series, cols, entries).tobytes() == want
+    want = epidemic._halves(series, plan).tobytes()
+assert epidemic._halves(series, plan).tobytes() == want
 helper = epidemic._helper[0]
 pid = os.fork()
 if pid == 0:
     ok = epidemic._helper is None
-    ok = ok and epidemic._halves(series, cols, entries).tobytes() == want
+    ok = ok and epidemic._halves(series, plan).tobytes() == want
     ok = ok and epidemic._helper[0] != helper
     sys.exit(0 if ok else 1)
 assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-assert epidemic._halves(series, cols, entries).tobytes() == want
+assert epidemic._halves(series, plan).tobytes() == want
 assert epidemic._helper[0] == helper
 print(helper)
 """

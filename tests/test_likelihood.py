@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -317,6 +319,49 @@ class TestLikelihoodMemo:
         assert ll == max(lls.values())
         assert bits == min(b for b, v in lls.items() if v == ll)
         assert tempered_objective(ll, cfg) == pytest.approx(math.exp(ll - ll0))
+
+    def test_threads_sharing_memos_get_serial_bytes(self):
+        # two threads share the memos of a 5-node and a 9-node trajectory
+        # and solve networks of both at once, in opposite orders, switching
+        # often: each thread runs its series in term buffers of its own, so
+        # every log-likelihood has the bytes of a solve in this thread alone
+        params = EpidemicParams(1.0, 0.5, 0.05)
+        rng = np.random.default_rng(21)
+        cases = []
+        for n, count in ((5, 24), (9, 4)):
+            data = ssa_simulate(chain_network(n), params, 0.1, 10.0,
+                                NetworkState((1,) + (0,) * (n - 1)), seed=n)
+            nets = [tuple(int(b) for b in rng.integers(0, 2, size=n * (n - 1) // 2))
+                    for _ in range(count)]
+            cases.append((data, likelihood_memo(data, params), nets))
+        (_, memo5, nets5), (_, memo9, nets9) = cases
+        work = [(memo5, g) for g in nets5]
+        for i, g in enumerate(nets9):
+            work.insert(6 * i, (memo9, g))
+        barrier = threading.Barrier(2)
+
+        def solve(items):
+            barrier.wait()
+            for memo, g in items:
+                memo(g)
+
+        threads = [threading.Thread(target=solve, args=(items,))
+                   for items in (work, work[::-1])]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for data, memo, nets in cases:
+            assert memo.n_evaluations == len(set(nets))
+            for g in nets:
+                serial = log_likelihood(AdjacencyVector(g), data, params)
+                assert memo.lookup(g).hex() == serial.hex()
 
     def test_shared_memo_serves_a_second_temperature(self):
         memo, cfg, g0, ll0 = self.make()

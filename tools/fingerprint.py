@@ -7,9 +7,13 @@ Writes one line per input to OUT: its name, then n_eval, cache hits, g_max,
 termination, the exact (hex) log-likelihood or target value, the bond ranks,
 a digest of the final TT cores and the per-sweep history without its CPU
 times.  The inputs are the benchmark's chain and tensor-train inputs of seeds
-1-3 (`perfbench/workload.py` writes them to a temporary directory) and a
-fixed set of seeded random `cross_optimize` runs on small tables, tempered
-and not, many of which re-anchor.  The package is imported from this
+1-3 (`perfbench/workload.py` writes them to a temporary directory), the
+`brute5_oracle` inputs of seeds 1-3 (one line each: the exhaustive argmax and
+the hex log-likelihood of every one of the 1024 networks), the 20 runs of
+the A3 and A5 acceptance protocols (9-node chain, datasets 0-9 at tau 1 and
+0-4 at tau 10 and 100) and a fixed set of seeded random `cross_optimize` runs
+on small tables, tempered and not, many of which re-anchor.  It takes about
+a minute on 2 vCPUs.  The package is imported from this
 checkout's `src/`, so to compare a change with its parent, run the copy of
 this file in each checkout and diff the two outputs:
 
@@ -35,10 +39,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import workload  # noqa: E402
-from epicross import cross  # noqa: E402
+from epicross import cross, driver, epidemic  # noqa: E402
 
 SEEDS = (1, 2, 3)
 WORKLOADS = ("chain9_flagship", "chain6_small", "tt_cross_d66")
+BRUTE = "brute5_oracle"
 N_RANDOM = 1500
 
 
@@ -99,6 +104,40 @@ def benchmark_lines():
                     yield line(f"{name}/seed{seed}/{i}", fields)
 
 
+def brute_lines():
+    """Every network's log-likelihood on the brute-force inputs."""
+    spec = workload.WORKLOADS[BRUTE]
+    params = epidemic.EpidemicParams(workload.BETA, workload.GAMMA, workload.EPS)
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in SEEDS:
+            directory = Path(tmp) / f"{BRUTE}-{seed}"
+            workload.generate(BRUTE, seed, directory)
+            for i in range(spec["n_datasets"]):
+                data = epidemic.read_trajectory(workload.input_path(directory, spec, i))
+                memo = driver.likelihood_memo(data, params)
+                g, ll = driver.brute_force_mle(data, params, cache=memo)
+                d = g.n_pairs
+                table = [hexf(memo.lookup(tuple((code >> b) & 1 for b in range(d))))
+                         for code in range(1 << d)]
+                yield line(f"{BRUTE}/seed{seed}/{i}",
+                           {"g_max": g.bitstring, "loglik": hexf(ll), "table": table})
+
+
+def acceptance_lines():
+    """The nine-node runs of the A3 (tau 1, datasets 0-9) and A5 (tau 10
+    and 100, datasets 0-4) protocols, as tests/test_acceptance.py runs them."""
+    params = epidemic.EpidemicParams(1.0, 0.5, 0.01)
+    truth = epidemic.chain_network(9)
+    x0 = epidemic.NetworkState((1,) + (0,) * 8)
+    for tau, datasets in ((1.0, range(10)), (10.0, range(5)), (100.0, range(5))):
+        for i in datasets:
+            data = epidemic.ssa_simulate(truth, params, 0.1, 200.0, x0, seed=i)
+            config = cross.CrossConfig(r_max=5, n_max=100_000, max_sweeps=4,
+                                       seed=driver.OPTIMIZER_SEED_OFFSET + i)
+            rr = driver.run_inference(data, params, tau, config, truth=truth)
+            yield line(f"acceptance/tau{tau:g}/{i}", run_fields(rr))
+
+
 def random_logs(rng, d: int) -> np.ndarray:
     """Log-values on {0,1}^d, indexed by the bits, of one of four shapes."""
     kind = int(rng.integers(4))
@@ -147,10 +186,9 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         raise SystemExit(__doc__.strip().split("\n\n")[1])
     with open(argv[0], "w") as fh:
-        for text in benchmark_lines():
-            fh.write(text + "\n")
-        for text in random_lines():
-            fh.write(text + "\n")
+        for lines in (benchmark_lines(), brute_lines(), acceptance_lines(), random_lines()):
+            for text in lines:
+                fh.write(text + "\n")
     return 0
 
 
