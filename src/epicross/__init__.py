@@ -5,6 +5,7 @@ from .epidemic import (
     EpidemicParams,
     NetworkState,
     RateMatrix,
+    SolvePlan,
     Trajectory,
     build_generator,
     chain_network,

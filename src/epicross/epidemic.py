@@ -6,21 +6,23 @@ column: (g_12, g_13, g_23, g_14, g_24, g_34, ...).  Epidemic states live on
 {0,1}^N and are enumerated by the linear index sum_n x_n 2^(n-1), so node 1
 sits in the least significant bit.
 
-Transition probabilities come from one routine, transition_columns: the
-entries of exp(Q dt) the caller names, from uniformized columns, each with
-a checked relative error bound.  A solve builds no scipy matrix, no index
-array and no block of columns: the generator and its jump chain
-P = I + Q/lam are value vectors on a sparsity pattern shared by every
+Transition probabilities come from one routine, transition_columns(rate,
+dt, plan): the entries of exp(Q dt) a SolvePlan names, from uniformized
+columns, each with a checked relative error bound.  A solve builds no scipy
+matrix, no index array and no block of columns: the generator and its jump
+chain P = I + Q/lam are value vectors on a sparsity pattern shared by every
 network of N nodes, built once per network and shared by every step length
 (a likelihood solve's step groups); the trajectory holds, per step length,
-a SolvePlan with the checked positions of the named entries and source
-states; each thread holds the two term buffers its series run in.  The
-first term copies P's columns, each later one is scipy's CSC kernel run
-into a buffer, and the last substep sums only the named entries of its
-terms.
+the SolvePlan that owns copies of the named entries and source states and
+their checked positions in a block of columns; each thread holds the two
+term buffers its series run in.  The first term copies P's columns, each
+later one is scipy's CSC kernel run into a buffer, and the last substep
+sums only the named entries of its terms.
 A large block of columns is run as two halves, each stopped on its own
 named entries, the second in one helper process where a second CPU
-allows: the bytes do not depend on where it runs.
+allows: the bytes do not depend on where it runs.  The helper is sent P's
+values, the Poisson schedule and the half's block, and reads the pattern
+from its own cache.
 
 Importing this module loads numpy, the top-level scipy package and one
 compiled module of scipy.sparse, its CSC kernels (_load_sparsetools), but
@@ -35,6 +37,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import operator
 import os
 import signal
 import sys
@@ -266,22 +269,17 @@ class RateMatrix:
     chain that uniformizes it.
 
     `data` holds the CSC values on the sparsity pattern that every
-    generator of `dim` states shares (_generator_pattern), `diag` the
-    positions of the diagonal entries q[x, x] in it.  `lam` is the largest
-    exit rate and `jump` the values of the jump chain P = I + Q/lam on the
-    same pattern, None when lam is 0 (exp(Q dt) = I).  The arrays are
-    read-only, as every transition_columns call on the generator shares
-    them.  Generators compare by identity.
+    generator of `dim` states shares (_generator_pattern).  `lam` is the
+    largest exit rate and `jump` the values of the jump chain
+    P = I + Q/lam on the same pattern, None when lam is 0 (exp(Q dt) = I).
+    The arrays are read-only, as every transition_columns call on the
+    generator shares them.  Generators compare by identity.
     """
 
     dim: int
     data: np.ndarray
-    diag: np.ndarray
     lam: float
     jump: np.ndarray | None
-
-    def exit_rates(self) -> np.ndarray:
-        return -self.data[self.diag]
 
 
 @functools.cache
@@ -347,7 +345,7 @@ def build_generator(g: AdjacencyVector, params: EpidemicParams) -> RateMatrix:
         jump[diag] += 1.0
         jump.flags.writeable = False
     data.flags.writeable = False
-    return RateMatrix(dim=dim, data=data, diag=diag, lam=lam, jump=jump)
+    return RateMatrix(dim=dim, data=data, lam=lam, jump=jump)
 
 
 RTOL = 1e-12          # relative accuracy of the entries transition_columns names
@@ -359,13 +357,14 @@ INNER_TARGET = RTOL * np.finfo(float).tiny  # neglected mass of inner substeps
 SPLIT_MIN_WORK = 20_000
 
 
-def transition_columns(rate: RateMatrix, dt: float, cols, entries) -> np.ndarray:
+def transition_columns(rate: RateMatrix, dt: float, plan: SolvePlan) -> np.ndarray:
     """Named entries of exp(Q dt) by uniformization, with a checked bound.
 
-    `entries`, index arrays (rows, pos), names the entries the caller
-    needs: returns p with p[i] = exp(Q dt)[rows[i], cols[pos[i]]].  The
-    jump chain P = I + Q/lam, lam the largest exit rate, built with the
-    generator (once per network, whatever dt), is applied to the
+    `plan`, a SolvePlan for the generator's number of states, names the
+    entries the caller needs: returns p with p[i] = exp(Q dt)[rows[i],
+    cols[pos[i]]] for the plan's `rows`, `pos` and source states `cols`.
+    The jump chain P = I + Q/lam, lam the largest exit rate, built with
+    the generator (once per network, whatever dt), is applied to the
     indicator vectors of `cols` and summed with Poisson(lam dt) weights.
     All terms are nonnegative, so the neglected Poisson mass, bounded from
     the next weight by w_{j+1} / (1 - mu/(j+2)), bounds the error of every
@@ -374,38 +373,34 @@ def transition_columns(rate: RateMatrix, dt: float, cols, entries) -> np.ndarray
     is structural, as every state is at most 2N flips away, and stays zero.
     Large lam dt is split into substeps of mean <= 200; all but the last
     run to RTOL times the smallest normal double.  Missing the bound within
-    MAX_TERMS terms of a substep raises ArithmeticError.
+    MAX_TERMS terms of a substep raises ArithmeticError, and a plan made
+    for another number of states raises ValueError.
 
-    A block of at least SPLIT_MIN_WORK entries (states times columns) is
+    A plan of at least SPLIT_MIN_WORK entries (states times columns) is
     run as two blocks, the halves of `cols`, each stopped on its own named
     entries, so every entry keeps its bound.  When the process may run on
     two or more CPUs, a helper process propagates the second half while
     the caller propagates the first; otherwise the caller runs both.  The
     bytes are the same either way.
-
-    The SolvePlan of a step group (Trajectory.step_groups), passed with
-    that group's own `cols` for `dim` states, was checked when it was
-    made and is run as it is; any other `entries` is checked and planned
-    on every call.
     """
-    if not (type(entries) is SolvePlan and entries.cols is cols and entries.dim == rate.dim):
-        entries = SolvePlan(rate.dim, cols, entries)
-    series = _prepare(rate, dt)
-    if series is None:  # exp(Q dt) = I
-        rows, pos = entries
-        return (entries.cols[pos] == rows).astype(float)
-    if entries.first is None:
-        return _block(series, entries.blocks[0])
-    return _halves(series, entries)
+    if plan.dim != rate.dim:
+        raise ValueError(f"a plan for {plan.dim} states, given a generator of {rate.dim}")
+    schedule = _prepare(rate, dt)
+    if schedule is None:  # exp(Q dt) = I
+        return (plan.cols[plan.pos] == plan.rows).astype(float)
+    if plan.first is None:
+        return _block(rate.jump, *schedule, plan.blocks[0])
+    return _halves(rate.jump, *schedule, plan)
 
 
 class _Block(NamedTuple):
-    """One block of `k` source columns as _block runs it: the flat
-    positions, in a dim x k term, of the ones that start the series
-    (entry (cols[i], i)) and of the named entries (rows[i], pos[i]), and
-    the first term P @ start as a copy of P's columns `cols`: `first_to`
-    in a term from `first_from` in P's values."""
+    """One block of `k` source columns of an `n`-node generator as _block
+    runs it: the flat positions, in a 2^n x k term, of the ones that start
+    the series (entry (cols[i], i)) and of the named entries
+    (rows[i], pos[i]), and the first term P @ start as a copy of P's
+    columns `cols`: `first_to` in a term from `first_from` in P's values."""
 
+    n: int
     k: int
     start: np.ndarray
     named: np.ndarray
@@ -413,36 +408,42 @@ class _Block(NamedTuple):
     first_from: np.ndarray
 
 
-def _plan_block(dim: int, cols: np.ndarray, rows: np.ndarray, pos: np.ndarray) -> _Block:
+def _plan_block(n: int, cols: np.ndarray, rows: np.ndarray, pos: np.ndarray) -> _Block:
     k = cols.size
-    _, indices, indptr, _, _ = _generator_pattern(dim.bit_length() - 1)
+    _, indices, indptr, _, _ = _generator_pattern(n)
     start = cols * k + np.arange(k)
-    named = rows.astype(np.intp) * k + pos
+    named = rows * k + pos
     # every column of the pattern holds N + 1 entries
     first_from = (indptr[cols][:, None] + np.arange(indptr[1])).ravel()
     first_to = indices[first_from].astype(np.intp) * k + np.repeat(np.arange(k), indptr[1])
     for a in (start, named, first_to, first_from):
         a.flags.writeable = False
-    return _Block(k, start, named, first_to, first_from)
+    return _Block(n, k, start, named, first_to, first_from)
 
 
-class SolvePlan(tuple):
-    """Named entries (rows, pos) of exp(Q dt)[:, cols], checked against
-    `cols` and `dim` states, and how a solve runs them.
+class SolvePlan:
+    """The named entries (rows, pos) of exp(Q dt)[:, cols] for `dim` = 2^N
+    states, checked, and how transition_columns runs them.
 
-    A tuple of the index arrays (rows, pos), with attributes `dim`,
-    `cols` (the source states, int64), `blocks` (one _Block, or two, the
-    halves of `cols`, from SPLIT_MIN_WORK states x columns on) and
-    `first`, which entries the first half names (None for one block).
-    Trajectory.step_groups makes one per step group, once, so a solve
-    builds no index array; transition_columns makes one per call for any
-    other input.  Raises ValueError on indices out of range.
+    Holds read-only copies of `cols` (the source states, int64), `rows`
+    and `pos` (intp), so changing the arrays it was made from changes no
+    result; `blocks`, one _Block, or two, the halves of `cols`, from
+    SPLIT_MIN_WORK states x columns on; and `first`, which entries the
+    first half names (None for one block).  Trajectory.step_groups makes
+    one per step length, once, so a solve builds no index array.  Raises
+    ValueError on a state count that is not a power of two, and on
+    indices that are not integers or out of range.
     """
 
-    def __new__(cls, dim: int, cols, entries):
-        cols = np.atleast_1d(np.asarray(cols, dtype=np.int64))
-        if cols.ndim != 1:
-            raise ValueError("column indices must be one-dimensional")
+    __slots__ = ("dim", "cols", "rows", "pos", "blocks", "first")
+
+    def __init__(self, dim: int, cols, entries):
+        dim = operator.index(dim)
+        if dim < 1 or dim & (dim - 1):
+            raise ValueError(f"the number of states must be a power of two, got {dim}")
+        cols = np.atleast_1d(np.asarray(cols))
+        if cols.ndim != 1 or cols.dtype.kind not in "iu":
+            raise ValueError("column indices must be a 1-d integer array")
         k = cols.size
         if k and (cols.min() < 0 or cols.max() >= dim):
             raise ValueError("column indices out of range")
@@ -453,85 +454,82 @@ class SolvePlan(tuple):
         if rows.size and (rows.min() < 0 or rows.max() >= dim
                           or pos.min() < 0 or pos.max() >= k):
             raise ValueError("entry indices out of range")
-        plan = super().__new__(cls, (rows, pos))
-        plan.dim, plan.cols = dim, cols
+        # the plan's own signed copies
+        cols, rows, pos = cols.astype(np.int64), rows.astype(np.intp), pos.astype(np.intp)
+        n = dim.bit_length() - 1
         if dim * k < SPLIT_MIN_WORK:
-            plan.first = None
-            plan.blocks = (_plan_block(dim, cols, rows, pos),)
+            first = None
+            blocks = (_plan_block(n, cols, rows, pos),)
         else:
             half = k // 2
             first = pos < half
             first.flags.writeable = False
-            plan.first = first
-            plan.blocks = (_plan_block(dim, cols[:half], rows[first], pos[first]),
-                           _plan_block(dim, cols[half:], rows[~first], pos[~first] - half))
-        return plan
+            blocks = (_plan_block(n, cols[:half], rows[first], pos[first]),
+                      _plan_block(n, cols[half:], rows[~first], pos[~first] - half))
+        for a in (cols, rows, pos):
+            a.flags.writeable = False  # shared by every solve
+        self.dim, self.cols, self.rows, self.pos = dim, cols, rows, pos
+        self.blocks, self.first = blocks, first
 
 
-class _Series(NamedTuple):
-    """What every block of columns of one transition_columns call shares:
-    the jump chain P = I + Q/lam as plain CSC arrays (values on the shared
-    pattern of Q), so a block pickles to the helper as arrays, and the
-    Poisson schedule."""
-
-    indptr: np.ndarray   # CSC column pointers of P, the pattern of Q
-    indices: np.ndarray  # CSC row indices of P
-    data: np.ndarray     # values of P, the generator's `jump`
-    mu: float            # Poisson mean of one substep
-    n_sub: int           # substeps
-    min_terms: int       # terms after which a zero named entry is structural
-
-
-def _prepare(rate: RateMatrix, dt: float) -> _Series | None:
-    """The series that propagates columns over `dt`, or None when
-    exp(Q dt) is the identity (no rate or no time)."""
+def _prepare(rate: RateMatrix, dt: float) -> tuple[float, int] | None:
+    """The Poisson schedule that propagates columns over `dt`: the mean
+    of one substep and the number of substeps, or None when exp(Q dt) is
+    the identity (no rate or no time)."""
     dt = float(dt)
     if not math.isfinite(dt) or dt < 0:
         raise ValueError(f"dt must be finite and nonnegative, got {dt}")
     if rate.jump is None or dt == 0.0:
         return None
     n_sub = max(1, math.ceil(rate.lam * dt / 200.0))  # exp(-mu) far from underflow
-    n = rate.dim.bit_length() - 1
-    _, indices, indptr, _, _ = _generator_pattern(n)
-    return _Series(indptr, indices, rate.jump, rate.lam * dt / n_sub, n_sub, 2 * n)
+    return rate.lam * dt / n_sub, n_sub
 
+
+# floats per term buffer that a thread keeps: a flagship half-block is 512
+# states x about 38 columns; a larger block runs in a pair of its own
+TERM_BUFFER_KEPT = 1 << 20
 
 _local = threading.local()  # each thread's term buffers
 
 
 def _term_buffers(size: int):
-    """Two term buffers of `size` floats, this thread's own, and a
-    function per buffer that zeroes it: +0.0 is all zero bytes, and
-    filling a byte view is a memset, several times quicker than a float
-    fill.  The buffers are one array, kept for the life of the thread and
-    grown to the largest block it has run, so a solve allocates no block
-    array."""
+    """Two term buffers of `size` floats, and a function per buffer that
+    zeroes it: +0.0 is all zero bytes, and filling a byte view is a
+    memset, several times quicker than a float fill.  Up to
+    TERM_BUFFER_KEPT floats each, the buffers are this thread's own, one
+    array kept for the life of the thread and grown to the largest such
+    block it has run, so a solve allocates no block array; a larger pair
+    is dropped after its block."""
     got = getattr(_local, "buffers", None)
     if got is None or got[0] != size:
         store = getattr(_local, "store", None)
         if store is None or store.size < 2 * size:
-            store = _local.store = np.empty(2 * size)
+            store = np.empty(2 * size)
         bufs = (store[:size], store[size:2 * size])
-        got = _local.buffers = (size, bufs, tuple(b.view(np.uint8).fill for b in bufs))
+        got = (size, bufs, tuple(b.view(np.uint8).fill for b in bufs))
+        if size <= TERM_BUFFER_KEPT:
+            _local.store, _local.buffers = store, got
     return got[1], got[2]
 
 
-def _block(series: _Series, block: _Block) -> np.ndarray:
+def _block(jump: np.ndarray, mu: float, n_sub: int, block: _Block) -> np.ndarray:
     """The series of transition_columns on one block of source columns:
     the named entries of its sums, stopped on those entries alone.
 
-    Each term is written into one of this thread's two term buffers,
-    zero-filled first; the second starts as the indicator vectors of the
-    columns.  The first term, P applied to them, is a copy of P's columns
-    (each entry is the one product by 1.0 that the kernel would add to
-    zeros); every later one is scipy's private CSC kernel
-    `_sparsetools.csc_matvecs`.  The last substep, the only one unless
-    lam dt > 200, adds up only the named entries of its terms, as nothing
-    else reads its sum; an inner substep sums the whole block, the next
-    substep's start.  Either way a named entry sees the same products and
-    sums in the same order.  The kernel is the one `csc_array @` calls
-    (csc_matvec for one column does the same arithmetic), so the bytes
-    are those of `jump @ term`;
+    `jump` holds the values of P = I + Q/lam on the shared pattern of the
+    block's N nodes, read here from _generator_pattern(N), and the series
+    runs `n_sub` substeps of Poisson mean `mu`.  Each term is written into
+    one of this thread's two term buffers, zero-filled first; the second
+    starts as the indicator vectors of the columns.  The first term, P
+    applied to them, is a copy of P's columns (each entry is the one
+    product by 1.0 that the kernel would add to zeros); every later one is
+    scipy's private CSC kernel `_sparsetools.csc_matvecs`.  The last
+    substep, the only one unless lam dt > 200, adds up only the named
+    entries of its terms, as nothing else reads its sum; an inner substep
+    sums the whole block, the next substep's start.  Either way a named
+    entry sees the same products and sums in the same order.  The kernel
+    is the one `csc_array @` calls (csc_matvec for one column does the
+    same arithmetic), so the bytes are those of `jump @ term`;
     test_columns_bit_identical_to_scipy_jump_matrix pins them.
 
     The stop test reads the smallest named entry only where it could
@@ -540,9 +538,9 @@ def _block(series: _Series, block: _Block) -> np.ndarray:
     test must fail, and it stops at the same term as a reading on every
     term.
     """
-    indptr, indices, data, mu, n_sub, min_terms = series
-    k, start, named, first_to, first_from = block
-    dim = indptr.size - 1
+    n, k, start, named, first_to, first_from = block
+    _, indices, indptr, _, _ = _generator_pattern(n)
+    dim, min_terms = 1 << n, 2 * n
     bufs, zero = _term_buffers(dim * k)
     zero[1](0)
     v = bufs[1]
@@ -582,9 +580,9 @@ def _block(series: _Series, block: _Block) -> np.ndarray:
             nxt = bufs[j & 1]
             zero[j & 1](0)  # the kernel adds P @ term into it
             if s or j:
-                _sparsetools.csc_matvecs(dim, dim, k, indptr, indices, data, term, nxt)
+                _sparsetools.csc_matvecs(dim, dim, k, indptr, indices, jump, term, nxt)
             else:  # P @ start: the kernel's sums would add only zeros to them
-                nxt[first_to] = data[first_from]
+                nxt[first_to] = jump[first_from]
             term = nxt
             w = w_next
             acc += term[keep] * w
@@ -616,11 +614,11 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _halves(series: _Series, plan: SolvePlan) -> np.ndarray:
+def _halves(jump: np.ndarray, mu: float, n_sub: int, plan: SolvePlan) -> np.ndarray:
     """The named entries, each half of the plan's columns run as a block
-    of its own: the second in the helper while the caller runs the first
-    when it can, else in the caller after the first.  An exception raised
-    in the helper is raised here."""
+    of its own (_block's arguments): the second in the helper while the
+    caller runs the first when it can, else in the caller after the
+    first.  An exception raised in the helper is raised here."""
     first = plan.first
     mine, theirs = plan.blocks
     p = np.empty(first.shape)
@@ -631,8 +629,8 @@ def _halves(series: _Series, plan: SolvePlan) -> np.ndarray:
             if helper is not None:
                 pid, conn = helper
                 _keep_apart(pid)
-                conn.send((series, theirs))
-                p[first] = p_mine = _block(series, mine)
+                conn.send((jump, mu, n_sub, theirs))
+                p[first] = p_mine = _block(jump, mu, n_sub, mine)
                 p[~first] = _receive(conn)
                 return p
         except (EOFError, OSError):  # the helper has died
@@ -643,8 +641,8 @@ def _halves(series: _Series, plan: SolvePlan) -> np.ndarray:
         finally:
             _helper_lock.release()
     if p_mine is None:
-        p[first] = _block(series, mine)
-    p[~first] = _block(series, theirs)
+        p[first] = _block(jump, mu, n_sub, mine)
+    p[~first] = _block(jump, mu, n_sub, theirs)
     return p
 
 
@@ -698,10 +696,12 @@ def _running_helper():
 
 def _serve(conn) -> None:
     """The helper's loop: run each block it is sent until the caller hangs
-    up (EOF here, or a broken pipe mid-exchange)."""
+    up (EOF here, or a broken pipe mid-exchange).  A message holds
+    _block's arguments: P's values, the Poisson schedule and the block,
+    whose node count selects the pattern in this process's cache."""
     while True:
         try:
-            block = conn.recv()  # (series, block)
+            block = conn.recv()  # (jump, mu, n_sub, block)
         except EOFError:
             return
         try:
@@ -785,18 +785,16 @@ class Trajectory:
     def step_groups(self) -> tuple:
         """The observed steps, grouped by length and counted per state pair.
 
-        One (dt, sources, entries, counts) tuple per distinct step length
-        dt, in increasing order: `sources` are the distinct states the
-        group's steps leave from, `entries` = (next states, positions into
-        `sources`) names each distinct (prev, next) pair, and `counts`
-        says how often it was observed.  Grid times built as k*dt differ
-        by ulps, so lengths equal to 12 significant digits share a group
-        and dt is the exact decimal value of those digits.
-
-        `entries` is the group's SolvePlan: checked once, here, with the
-        flat positions every solve of the group reads (those of the two
-        halves too, for a block large enough to be split), so that
-        transition_columns(rate, dt, sources, entries) plans nothing.
+        One (dt, plan, counts) tuple per distinct step length dt, in
+        increasing order: `plan` is the group's SolvePlan, whose `cols` are
+        the distinct states the group's steps leave from and whose
+        (rows, pos) = (next states, positions into `cols`) name each
+        distinct (prev, next) pair, and `counts` says how often it was
+        observed.  Grid times built as k*dt differ by ulps, so lengths
+        equal to 12 significant digits share a group and dt is the exact
+        decimal value of those digits.  Each plan is checked and planned
+        once, here, so that transition_columns(rate, dt, plan) plans
+        nothing.
         """
         dim = 1 << self.n_nodes
         idx = self.state_indices()
@@ -813,10 +811,9 @@ class Trajectory:
         for k, dt in enumerate(lengths):
             sel = key == k
             sources, pos = np.unique(prev[sel], return_inverse=True)
-            plan, n_obs = SolvePlan(dim, sources, (nxt[sel], pos)), counts[sel]
-            for a in (plan.cols, *plan, n_obs):
-                a.flags.writeable = False  # shared by every solve
-            groups.append((float(dt), plan.cols, plan, n_obs))
+            n_obs = counts[sel]
+            n_obs.flags.writeable = False  # shared by every solve
+            groups.append((float(dt), SolvePlan(dim, sources, (nxt[sel], pos)), n_obs))
         return tuple(groups)
 
 

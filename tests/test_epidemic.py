@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from epicross.epidemic import (
     AdjacencyVector,
     EpidemicParams,
     NetworkState,
+    SolvePlan,
     Trajectory,
     build_generator,
     chain_network,
@@ -62,10 +64,15 @@ def coo_generator(g, params):
     return q.toarray()
 
 
+def named_entries(rate, dt, cols, entries):
+    """transition_columns on the plan of `entries` = (rows, pos) in `cols`."""
+    return transition_columns(rate, dt, SolvePlan(rate.dim, cols, entries))
+
+
 def every_entry(rate, dt, cols):
     """exp(Q dt)[:, cols] from transition_columns, every entry named."""
     rows, pos = np.indices((rate.dim, len(cols))).reshape(2, -1)
-    return transition_columns(rate, dt, cols, (rows, pos)).reshape(rate.dim, len(cols))
+    return named_entries(rate, dt, cols, (rows, pos)).reshape(rate.dim, len(cols))
 
 
 def reference_columns(rate, dt, cols, entries):
@@ -290,7 +297,7 @@ class TestGenerator:
                 rate = build_generator(g, p)
                 reference = coo_generator(g, p)
                 assert np.array_equal(dense_generator(rate), reference)
-                assert np.array_equal(rate.exit_rates(), -np.diag(reference))
+                assert rate.lam == -np.diag(reference).min()  # the largest exit rate
 
     def test_shared_pattern_is_read_only(self):
         # generators of one node count share the sparsity pattern, so an
@@ -360,7 +367,7 @@ class TestTransitionMatrix:
         q = build_generator(AdjacencyVector.empty(8), p)
         rate = p.eps + p.gamma
         exact = (p.eps / rate * -math.expm1(-rate * 0.01)) ** 8
-        p = transition_columns(q, 0.01, [0], (np.array([q.dim - 1]), np.array([0])))
+        p = named_entries(q, 0.01, [0], (np.array([q.dim - 1]), np.array([0])))
         assert p.shape == (1,)
         assert p[0] == pytest.approx(exact, rel=1e-11)
 
@@ -373,35 +380,63 @@ class TestTransitionMatrix:
     def test_uniformization_structural_zero(self):
         # eps = 0 and no edges: state 0 never leaves, after any number of terms
         q = build_generator(AdjacencyVector.empty(3), EpidemicParams(1.0, 0.5, 0.0))
-        p = transition_columns(q, 0.5, [0, 7], (np.array([1, 0, 0]), np.array([0, 0, 1])))
+        p = named_entries(q, 0.5, [0, 7], (np.array([1, 0, 0]), np.array([0, 0, 1])))
         assert p[0] == 0.0
         assert p[1] == pytest.approx(1.0, abs=1e-12)
         assert p[2] > 0.0
 
     def test_outside_entries_are_checked(self):
-        # plain (rows, pos) input, and a step group's plan passed with other
-        # columns or states, are checked on every call; with no rate
+        # a plan checks the indices it is made from; it runs only with a
+        # generator of its own number of states, with no rate
         # (exp(Q dt) = I) too
         good = (np.array([0, 5]), np.array([0, 1]))
-        t = Trajectory(np.array([0.0, 0.1, 0.2]), np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0]]))
-        (dt, sources, plan, _), = t.step_groups
+        for cols, entries in [([0, 8], good), ([-1, 2], good), ([[0, 2]], good),
+                              ([0.0, 2.0], good), ([0.5, 2.0], good),
+                              ([0, 2], (np.array([0, 8]), good[1])),
+                              ([0, 2], (np.array([-1, 0]), good[1])),
+                              ([0, 2], (good[0], np.array([0, 2]))),
+                              ([0, 2], (good[0], np.array([-1, 0]))),
+                              ([0, 2], (good[0], np.array([0]))),
+                              ([0, 2], (good[0], np.array([0.0, 1.0]))),
+                              ([0, 2], (good[0][:, None], good[1][:, None]))]:
+            with pytest.raises(ValueError):
+                SolvePlan(8, cols, entries)
+        for dim in (0, -8, 6, 12):  # not 2^N states
+            with pytest.raises(ValueError):
+                SolvePlan(dim, [0], ([0], [0]))
+        plan = SolvePlan(8, [0, 2], good)
+        unsigned = SolvePlan(8, np.array([0, 2], dtype=np.uint8),
+                             tuple(a.astype(np.uint64) for a in good))
         for params in (EpidemicParams(1.0, 0.5, 0.01), EpidemicParams(0.0, 0.0, 0.0)):
             rate = build_generator(chain_network(3), params)
-            for cols, entries in [([0, 8], good), ([-1, 2], good), ([0, 2], (np.array([0, 8]), good[1])),
-                                  ([0, 2], (np.array([-1, 0]), good[1])),
-                                  ([0, 2], (good[0], np.array([0, 2]))),
-                                  ([0, 2], (good[0], np.array([-1, 0]))),
-                                  ([0, 2], (good[0], np.array([0]))),
-                                  ([0, 2], (good[0], np.array([0.0, 1.0]))),
-                                  (np.array([sources[0], 8]), plan)]:
+            assert transition_columns(rate, 0.1, plan).shape == (2,)
+            assert (transition_columns(rate, 0.1, unsigned).tobytes()
+                    == transition_columns(rate, 0.1, plan).tobytes())
+            for n in (2, 4):
+                with pytest.raises(ValueError, match="a plan for 8 states"):
+                    transition_columns(build_generator(chain_network(n), params), 0.1, plan)
+
+    def test_plan_owns_its_arrays(self):
+        # a plan copies what it is made from, so changing those arrays
+        # changes no result, and its own arrays are read-only, small plans
+        # and split ones alike
+        rate = build_generator(chain_network(9), EpidemicParams(1.0, 0.5, 0.01))
+        for n_cols in (3, 64):
+            cols = np.arange(n_cols) * 7
+            rows, pos = np.arange(3 * n_cols) * 5 % 512, np.arange(3 * n_cols) % n_cols
+            plan = SolvePlan(rate.dim, cols, (rows, pos))
+            assert (plan.first is None) == (n_cols == 3)
+            want = transition_columns(rate, 0.1, plan).tobytes()
+            for a in (cols, rows, pos):
+                a[...] = a[::-1]
+            assert transition_columns(rate, 0.1, plan).tobytes() == want
+            assert plan.cols.dtype == np.int64
+            owned = [plan.cols, plan.rows, plan.pos]
+            if plan.first is not None:
+                owned.append(plan.first)
+            for a in owned:
                 with pytest.raises(ValueError):
-                    transition_columns(rate, 0.1, cols, entries)
-            assert transition_columns(rate, dt, sources, plan).shape == (2,)
-            assert transition_columns(rate, dt, [0, 2], good).shape == (2,)
-        # the plan of 3 nodes, given with a 4-node generator, is planned afresh
-        rate = build_generator(chain_network(4), EpidemicParams(1.0, 0.5, 0.01))
-        want = transition_columns(rate, dt, sources, tuple(np.array(a) for a in plan))
-        assert transition_columns(rate, dt, sources, plan).tobytes() == want.tobytes()
+                    a[...] = a
 
     def test_columns_bit_identical_to_scipy_jump_matrix(self):
         rng = np.random.default_rng(17)
@@ -417,7 +452,7 @@ class TestTransitionMatrix:
             cols = np.sort(rng.choice(rate.dim, size=min(6, rate.dim), replace=False))
             rows = rng.integers(0, rate.dim, size=10)
             entries = (rows, rng.integers(0, cols.size, size=10))
-            got = transition_columns(rate, dt, cols, entries)
+            got = named_entries(rate, dt, cols, entries)
             want = reference_columns(rate, dt, cols, entries)
             assert got.tobytes() == want.tobytes()
 
@@ -429,23 +464,57 @@ class TestTransitionMatrix:
         # allocates no block array at all
         rate = build_generator(chain_network(9), EpidemicParams(1.0, 0.5, 0.01))
         rng = np.random.default_rng(3)
-        series = epidemic._prepare(rate, 0.1)
+        mu, n_sub = epidemic._prepare(rate, 0.1)
         cols = np.arange(0, 450, 6)
-        block = epidemic._plan_block(rate.dim, cols, rng.integers(0, rate.dim, size=300),
+        block = epidemic._plan_block(9, cols, rng.integers(0, rate.dim, size=300),
                                      rng.integers(0, cols.size, size=300))
-        assert series.n_sub == 1
+        assert n_sub == 1
         peaks = []
         tracemalloc.start()
         try:
             for _ in range(2):
                 tracemalloc.reset_peak()
                 held = tracemalloc.get_traced_memory()[0]
-                epidemic._block(series, block)
+                epidemic._block(rate.jump, mu, n_sub, block)
                 peaks.append(tracemalloc.get_traced_memory()[1] - held)
         finally:
             tracemalloc.stop()
         block_array = rate.dim * cols.size * 8
         assert peaks[0] < 2.5 * block_array and peaks[1] < 0.1 * block_array
+
+    def test_thread_keeps_no_large_term_buffers(self, monkeypatch):
+        # a block of more than TERM_BUFFER_KEPT floats per term buffer
+        # (2^11 states x 513 columns) runs in a pair of its own, which the
+        # thread drops, with the bytes of a run in buffers it keeps; a
+        # later small block is all the thread then holds
+        rate = build_generator(chain_network(11), EpidemicParams(1.0, 0.5, 0.01))
+        cols = np.arange(513) * 3
+        big = epidemic._plan_block(11, cols, np.concatenate([cols, cols ^ 1]),
+                                   np.tile(np.arange(513), 2))
+        assert rate.dim * big.k > epidemic.TERM_BUFFER_KEPT
+        small_rate = build_generator(chain_network(6), EpidemicParams(1.0, 0.5, 0.01))
+        small = epidemic._plan_block(6, np.arange(8), np.arange(8), np.arange(8))
+
+        def in_thread(solve):
+            out = []
+            th = threading.Thread(target=lambda: out.append(solve()))
+            th.start()
+            th.join()
+            return out[0]
+
+        def big_then_small():
+            p = epidemic._block(*series_args(rate, 0.01), big)
+            after_big = getattr(epidemic._local, "store", None)
+            epidemic._block(*series_args(small_rate, 0.1), small)
+            return p, after_big, epidemic._local.store.size
+
+        p, after_big, after_small = in_thread(big_then_small)
+        assert after_big is None and after_small == 2 * 64 * 8
+        monkeypatch.setattr(epidemic, "TERM_BUFFER_KEPT", rate.dim * big.k)
+        kept, store = in_thread(lambda: (epidemic._block(*series_args(rate, 0.01), big),
+                                         epidemic._local.store.size))
+        assert store == 2 * rate.dim * big.k
+        assert p.tobytes() == kept.tobytes()
 
 
 class TestStopRule:
@@ -474,7 +543,7 @@ class TestStopRule:
             cols = np.array([0, 7])
             entries = (np.array([1, 0, 0, 6, 7]), np.array([0, 0, 1, 1, 1]))
             kernel_calls.clear()
-            p = transition_columns(rate, dt, cols, entries)
+            p = named_entries(rate, dt, cols, entries)
             want, jumps = reference_series(rate, dt, cols, entries)
             assert p[0] == 0.0 and np.all(p[1:] > 0.0)
             assert p.tobytes() == want.tobytes()
@@ -499,7 +568,7 @@ class TestStopRule:
                 rate = build_generator(AdjacencyVector.empty(7), EpidemicParams(1.0, 0.5, 0.01))
                 dt, cols, entries = 0.01, np.array([0]), (np.array([0, 127]), np.array([0, 0]))
             kernel_calls.clear()
-            p = transition_columns(rate, dt, cols, entries)
+            p = named_entries(rate, dt, cols, entries)
             want, jumps = reference_series(rate, dt, cols, entries)
             assert np.all(p > 0.0)
             assert p.tobytes() == want.tobytes()
@@ -531,7 +600,7 @@ class TestStopRule:
             m = int(rng.integers(1, 4 * cols.size + 1))
             entries = (rng.integers(0, rate.dim, size=m), rng.integers(0, cols.size, size=m))
             kernel_calls.clear()
-            p = transition_columns(rate, dt, cols, entries)
+            p = named_entries(rate, dt, cols, entries)
             want, jumps = reference_series(rate, dt, cols, entries)
             assert p.tobytes() == want.tobytes()
             assert len(kernel_calls) + 1 == jumps
@@ -541,18 +610,19 @@ class TestStopRule:
 # child interpreter can run too.
 BIG_CASE = """
 import numpy as np
-from epicross.epidemic import EpidemicParams, build_generator, chain_network
+from epicross import epidemic
+from epicross.epidemic import EpidemicParams, SolvePlan, build_generator, chain_network
 rate = build_generator(chain_network(9), EpidemicParams(1.0, 0.5, 0.01))
 dt = 0.3
-cols = np.arange(0, 512, 8)
-entries = (np.arange(64) * 7 % 512, np.arange(64))
+plan = SolvePlan(rate.dim, np.arange(0, 512, 8), (np.arange(64) * 7 % 512, np.arange(64)))
+run = (rate.jump, *epidemic._prepare(rate, dt))  # _block's and _halves's first arguments
 """
 
 
 def big_case():
     ns = {}
     exec(BIG_CASE, ns)
-    return ns["rate"], ns["dt"], ns["cols"], ns["entries"]
+    return ns["rate"], ns["dt"], ns["plan"], ns["run"]
 
 
 def run_child(script, timeout=120):
@@ -578,7 +648,7 @@ def split_cases():
         rate = build_generator(random_network(rng, n), EpidemicParams(beta, gamma, eps))
         dt = float(rng.uniform(0.01, 2.0))
         if trial == 7:
-            dt = 450.0 / rate.exit_rates().max()  # three substeps of mean 150
+            dt = 450.0 / rate.lam  # three substeps of mean 150
         n_cols = int(rng.integers(6, 48))
         cols = np.sort(rng.choice(rate.dim, size=n_cols, replace=False))
         rows = rng.integers(0, rate.dim, size=3 * n_cols)
@@ -599,9 +669,16 @@ def split_plan(rate, cols, entries):
         return epidemic.SolvePlan(rate.dim, cols, entries)
 
 
-def whole_block(series, plan):
+def series_args(rate, dt):
+    """The first arguments of _block and _halves: P's values and the
+    Poisson schedule."""
+    return (rate.jump, *epidemic._prepare(rate, dt))
+
+
+def whole_block(run, plan):
     """The plan's columns run as one block."""
-    return epidemic._block(series, epidemic._plan_block(plan.dim, plan.cols, *plan))
+    n = plan.dim.bit_length() - 1
+    return epidemic._block(*run, epidemic._plan_block(n, plan.cols, plan.rows, plan.pos))
 
 
 def halves_reference(rate, dt, cols, entries):
@@ -626,16 +703,16 @@ class TestSplit:
         # the helper's halves against the caller's, and each half against
         # the reference series run on that half alone
         for rate, dt, cols, entries in split_cases():
-            series = epidemic._prepare(rate, dt)
+            run = series_args(rate, dt)
             plan = split_plan(rate, cols, entries)
-            split = epidemic._halves(series, plan)
+            split = epidemic._halves(*run, plan)
             assert epidemic._helper is not None
             with epidemic._helper_lock:  # the caller runs both halves
-                serial = epidemic._halves(series, plan)
+                serial = epidemic._halves(*run, plan)
             assert split.tobytes() == serial.tobytes()
             large = rate.dim * cols.size >= epidemic.SPLIT_MIN_WORK
-            want = split if large else whole_block(series, plan)
-            assert transition_columns(rate, dt, cols, entries).tobytes() == want.tobytes()
+            want = split if large else whole_block(run, plan)
+            assert named_entries(rate, dt, cols, entries).tobytes() == want.tobytes()
             want = halves_reference(rate, dt, cols, entries)
             assert split.tobytes() == want.tobytes()
 
@@ -644,30 +721,45 @@ class TestSplit:
         # out of each named entry, so they differ by at most that, plus
         # rounding
         for rate, dt, cols, entries in split_cases():
-            series = epidemic._prepare(rate, dt)
+            run = series_args(rate, dt)
             plan = split_plan(rate, cols, entries)
             with epidemic._helper_lock:
-                split = epidemic._halves(series, plan)
-            whole = whole_block(series, plan)
+                split = epidemic._halves(*run, plan)
+            whole = whole_block(run, plan)
             assert np.all((split == 0.0) == (whole == 0.0))
             np.testing.assert_allclose(split, whole, rtol=2 * epidemic.RTOL + 1e-14, atol=0.0)
 
+    def test_helper_builds_its_own_pattern(self, two_cpus):
+        # the helper is sent P's values, not the sparsity pattern: forked
+        # with only the 9-node pattern cached, it builds the 8-node one
+        # when it is first sent an 8-node half, and gives the caller's bytes
+        epidemic._stop_helper()
+        epidemic._generator_pattern.cache_clear()
+        rate, dt, plan, run = big_case()
+        epidemic._halves(*run, plan)  # forks the helper
+        helper = epidemic._helper[0]
+        rate = build_generator(chain_network(8), EpidemicParams(1.0, 0.5, 0.01))
+        run = series_args(rate, dt)
+        plan = split_plan(rate, np.arange(0, 256, 4), (np.arange(64) * 5 % 256, np.arange(64)))
+        split = epidemic._halves(*run, plan)
+        assert epidemic._helper[0] == helper  # it ran the second half
+        with epidemic._helper_lock:  # the caller runs both halves
+            assert split.tobytes() == epidemic._halves(*run, plan).tobytes()
+
     def test_busy_or_dead_helper_runs_serially(self, two_cpus):
-        rate, dt, cols, entries = big_case()
-        series, plan = epidemic._prepare(rate, dt), epidemic.SolvePlan(rate.dim, cols, entries)
-        want = epidemic._halves(series, plan).tobytes()
+        rate, dt, plan, run = big_case()
+        want = epidemic._halves(*run, plan).tobytes()
         helper = epidemic._helper[0]
         with epidemic._helper_lock:  # another thread's split in flight
-            assert transition_columns(rate, dt, cols, entries).tobytes() == want
+            assert transition_columns(rate, dt, plan).tobytes() == want
         os.kill(helper, signal.SIGKILL)
-        assert epidemic._halves(series, plan).tobytes() == want
+        assert epidemic._halves(*run, plan).tobytes() == want
         assert epidemic._helper is None  # reaped
-        assert epidemic._halves(series, plan).tobytes() == want
+        assert epidemic._halves(*run, plan).tobytes() == want
         assert epidemic._helper[0] != helper  # a new helper
 
     def test_helper_error_reaches_caller(self, monkeypatch, two_cpus):
-        rate, dt, cols, entries = big_case()
-        series, plan = epidemic._prepare(rate, dt), epidemic.SolvePlan(rate.dim, cols, entries)
+        rate, dt, plan, run = big_case()
         epidemic._stop_helper()
         max_terms = epidemic.MAX_TERMS
         monkeypatch.setattr(epidemic, "MAX_TERMS", 3)
@@ -675,7 +767,7 @@ class TestSplit:
             assert epidemic._running_helper() is not None  # forked with 3 terms
             monkeypatch.setattr(epidemic, "MAX_TERMS", max_terms)
             with pytest.raises(ArithmeticError, match="within 3 terms"):
-                epidemic._halves(series, plan)
+                epidemic._halves(*run, plan)
         finally:
             epidemic._stop_helper()
 
@@ -685,21 +777,19 @@ class TestSplit:
         # the child then exits on its own
         script = BIG_CASE + """
 import os, sys
-from epicross import epidemic
 epidemic._cpus = lambda: 2
-series, plan = epidemic._prepare(rate, dt), epidemic.SolvePlan(rate.dim, cols, entries)
 with epidemic._helper_lock:
-    want = epidemic._halves(series, plan).tobytes()
-assert epidemic._halves(series, plan).tobytes() == want
+    want = epidemic._halves(*run, plan).tobytes()
+assert epidemic._halves(*run, plan).tobytes() == want
 helper = epidemic._helper[0]
 pid = os.fork()
 if pid == 0:
     ok = epidemic._helper is None
-    ok = ok and epidemic._halves(series, plan).tobytes() == want
+    ok = ok and epidemic._halves(*run, plan).tobytes() == want
     ok = ok and epidemic._helper[0] != helper
     sys.exit(0 if ok else 1)
 assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-assert epidemic._halves(series, plan).tobytes() == want
+assert epidemic._halves(*run, plan).tobytes() == want
 assert epidemic._helper[0] == helper
 print(helper)
 """
@@ -714,14 +804,13 @@ print(helper)
 import hashlib, os
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 """ + BIG_CASE + """
-from epicross import epidemic
-out = epidemic.transition_columns(rate, dt, cols, entries)
+out = epidemic.transition_columns(rate, dt, plan)
 print(epidemic._helper is None, hashlib.sha256(out.tobytes()).hexdigest())
 """
         proc = run_child(script)
         assert proc.returncode == 0, proc.stderr
-        rate, dt, cols, entries = big_case()
-        split = transition_columns(rate, dt, cols, entries)
+        rate, dt, plan, _ = big_case()
+        split = transition_columns(rate, dt, plan)
         assert epidemic._helper is not None
         assert proc.stdout.split() == ["True", hashlib.sha256(split.tobytes()).hexdigest()]
 
@@ -816,8 +905,8 @@ import scipy.sparse
 from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import spsolve
 from scipy.linalg import expm
-from epicross.epidemic import (EpidemicParams, _generator_pattern, build_generator,
-                               chain_network, transition_columns)
+from epicross.epidemic import (EpidemicParams, SolvePlan, _generator_pattern,
+                               build_generator, chain_network, transition_columns)
 assert epidemic._sparsetools is _sparsetools is sys.modules["scipy.sparse._sparsetools"]
 a = scipy.sparse.csc_array(np.array([[2.0, 1.0], [0.0, 4.0]]))
 assert (a @ np.ones(2)).tolist() == [3.0, 4.0]
@@ -827,7 +916,7 @@ _, indices, indptr, _, _ = _generator_pattern(3)
 q = scipy.sparse.csc_array((rate.data, indices, indptr), shape=(8, 8))
 probs = expm(q.toarray() * 0.4)
 rows, pos = np.indices((8, 2)).reshape(2, -1)
-got = transition_columns(rate, 0.4, [0, 5], (rows, pos)).reshape(8, 2)
+got = transition_columns(rate, 0.4, SolvePlan(8, [0, 5], (rows, pos))).reshape(8, 2)
 assert np.allclose(got, probs[:, [0, 5]], rtol=0.0, atol=1e-12)
 print("ok")
 """
@@ -867,11 +956,12 @@ class TestTrajectory:
         # 3 steps of 0.1 (two of them 0 -> 1) and one of 0.2
         t = Trajectory(np.array([0.0, 0.1, 0.2, 0.3, 0.5]),
                        np.array([[0], [1], [0], [1], [1]]))
-        (dt1, src1, (nxt1, pos1), c1), (dt2, src2, (nxt2, pos2), c2) = t.step_groups
+        (dt1, plan1, c1), (dt2, plan2, c2) = t.step_groups
         assert (dt1, dt2) == (0.1, 0.2)
-        assert src1.tolist() == [0, 1] and nxt1.tolist() == [1, 0]
-        assert pos1.tolist() == [0, 1] and c1.tolist() == [2, 1]
-        assert src2.tolist() == [1] and nxt2.tolist() == [1] and c2.tolist() == [1]
+        assert plan1.cols.tolist() == [0, 1] and plan1.rows.tolist() == [1, 0]
+        assert plan1.pos.tolist() == [0, 1] and c1.tolist() == [2, 1]
+        assert plan2.cols.tolist() == [1] and plan2.rows.tolist() == [1]
+        assert plan2.pos.tolist() == [0] and c2.tolist() == [1]
         assert t.step_groups is t.step_groups
 
     def test_equality_is_identity(self):

@@ -165,12 +165,12 @@ class TestLogLikelihood:
         cases = [(irregular, params), (irregular, zero), (still, zero)]
         assert len(irregular.step_groups) >= 4
         if n == 9:
-            widest = max(sources.size for _, sources, _, _ in irregular.step_groups)
+            widest = max(plan.cols.size for _, plan, _ in irregular.step_groups)
             assert (1 << n) * widest >= epidemic.SPLIT_MIN_WORK
         for data, rates in cases:
             want = 0.0
-            for dt, sources, entries, counts in data.step_groups:
-                p = epidemic.transition_columns(build_generator(g, rates), dt, sources, entries)
+            for dt, plan, counts in data.step_groups:
+                p = epidemic.transition_columns(build_generator(g, rates), dt, plan)
                 with np.errstate(divide="ignore"):
                     want += float(counts @ np.log(p))
             got = log_likelihood(g, data, rates)
