@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -425,29 +425,40 @@ class CrossInterpolant:
             r_prev = self.fibers[k].shape[0]
             flat = self.fibers[k].reshape(-1, len(self.right[k]))
             solved = np.linalg.solve(self._cross_matrix(k).T, flat.T).T
-            cores.append(solved.reshape(r_prev, 2, -1).copy())
-        cores.append(self.fibers[self.d].copy())
+            cores.append(solved.reshape(r_prev, 2, -1))
+        cores.append(self.fibers[self.d])
         return TensorTrain(cores)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TensorTrain:
-    """Tensor in TT form: cores[k] has shape (r_k, 2, r_{k+1}), r_0 = r_d = 1."""
+    """Tensor in TT form: cores[k] has shape (r_k, 2, r_{k+1}), r_0 = r_d = 1.
 
-    cores: list[np.ndarray]
+    Immutable: it holds read-only C-ordered copies of the given cores in a
+    tuple, and per core a table from each index bit to its (r_k, r_{k+1})
+    slice, which eval looks up and multiplies.  C order fixes the slices'
+    strides, so an entry's bytes do not depend on the layout of the arrays
+    the train was built from."""
+
+    cores: tuple[np.ndarray, ...]
+    _slices: tuple[dict, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.cores:
+        cores = tuple(np.array(c, dtype=float, order="C") for c in self.cores)
+        if not cores:
             raise ValueError("tensor train needs at least one core")
-        self.cores = [np.asarray(c, dtype=float) for c in self.cores]
-        for k, c in enumerate(self.cores):
+        for k, c in enumerate(cores):
             if c.ndim != 3 or c.shape[1] != 2:
                 raise ValueError(f"core {k} must have shape (r, 2, r'), got {c.shape}")
-        if self.cores[0].shape[0] != 1 or self.cores[-1].shape[2] != 1:
+            c.flags.writeable = False
+        if cores[0].shape[0] != 1 or cores[-1].shape[2] != 1:
             raise ValueError("boundary ranks must be 1")
-        for a, b in zip(self.cores, self.cores[1:]):
+        for a, b in zip(cores, cores[1:]):
             if a.shape[2] != b.shape[0]:
                 raise ValueError("core ranks do not chain")
+        object.__setattr__(self, "cores", cores)
+        object.__setattr__(self, "_slices",
+                           tuple({0: c[:, 0, :], 1: c[:, 1, :]} for c in cores))
 
     @property
     def d(self) -> int:
@@ -457,12 +468,18 @@ class TensorTrain:
         return [1] + [c.shape[2] for c in self.cores]
 
     def eval(self, bits) -> float:
-        bits = tuple(int(b) for b in bits)
-        if len(bits) != self.d:
+        """Entry at `bits`, whose entries are 0 or 1 (ints, bools or numpy
+        integers): a row vector times each core's strided slice, left to
+        right, the same products as `v @ cores[k][:, bits[k], :]`."""
+        if len(bits) != len(self._slices):
             raise ValueError(f"index must have length {self.d}")
-        v = self.cores[0][:, bits[0], :]
-        for k in range(1, self.d):
-            v = v @ self.cores[k][:, bits[k], :]
+        try:
+            mats = [table[b] for table, b in zip(self._slices, bits)]
+        except (KeyError, TypeError):
+            raise ValueError(f"index entries must be 0 or 1, got {bits!r}") from None
+        v = mats[0]
+        for m in mats[1:]:
+            v = v.dot(m)
         return float(v[0, 0])
 
 
@@ -503,26 +520,26 @@ def save_tt_cores(tt: TensorTrain, path) -> None:
 def load_tt_cores(path) -> TensorTrain:
     with open(path) as fh:
         tokens = fh.read().split()
+    # one conversion for the whole file; shape lines are read again as ints
+    values = np.array(tokens, dtype=float)
     pos = 0
 
     def take(n):
         nonlocal pos
         if pos + n > len(tokens):
             raise ValueError("truncated tensor-train file")
-        out = tokens[pos:pos + n]
         pos += n
-        return out
+        return slice(pos - n, pos)
 
-    d = int(take(1)[0])
+    d = int(tokens[take(1)][0])
     if d < 1:
         raise ValueError(f"bad dimension count {d}")
     cores = []
     for _ in range(d):
-        r0, two, r1 = (int(t) for t in take(3))
+        r0, two, r1 = (int(t) for t in tokens[take(3)])
         if two != 2:
             raise ValueError("mode size must be 2")
-        vals = np.array([float(t) for t in take(r0 * 2 * r1)])
-        cores.append(vals.reshape(r0, 2, r1))
+        cores.append(values[take(r0 * 2 * r1)].reshape(r0, 2, r1))
     if pos != len(tokens):
         raise ValueError("trailing data in tensor-train file")
     return TensorTrain(cores)

@@ -926,14 +926,73 @@ class TestTensorTrain:
                  for k in range(d)]
         return TensorTrain(cores)
 
+    @staticmethod
+    def matmul_chain(cores, bits):
+        """One row vector times each core's strided slice, left to right."""
+        v = cores[0][:, bits[0], :]
+        for k in range(1, len(cores)):
+            v = v @ cores[k][:, bits[k], :]
+        return float(v[0, 0])
+
     def test_eval_matches_direct_contraction(self):
+        # byte for byte, at every rank the benchmark's train reaches
         rng = np.random.default_rng(59)
-        tt = self.random_tt(rng, d=5)
-        for bits in all_bits(5):
-            v = np.ones((1, 1))
-            for k, b in enumerate(bits):
-                v = v @ tt.cores[k][:, b, :]
-            assert tt.eval(bits) == pytest.approx(float(v[0, 0]), rel=1e-12)
+        for d in (1, 2, 5, 66):
+            for r in range(1, 13) if d > 1 else (1,):
+                tt = self.random_tt(rng, d=d, r=r)
+                indices = (list(all_bits(d)) if d <= 5 else
+                           [tuple(int(b) for b in rng.integers(0, 2, d)) for _ in range(20)])
+                for bits in indices:
+                    assert tt.eval(bits).hex() == self.matmul_chain(tt.cores, bits).hex()
+
+    def test_eval_of_transposed_cores_and_numpy_indices(self):
+        rng = np.random.default_rng(60)
+        d, r = 6, 4
+        ranks = [1] + [r] * (d - 1) + [1]
+        # non-contiguous cores: transposes of (r_{k+1}, 2, r_k) arrays; the
+        # train's entries are those of a train of their C-ordered copies
+        cores = [rng.uniform(0.1, 1.0, size=(ranks[k + 1], 2, ranks[k])).transpose(2, 1, 0)
+                 for k in range(d)]
+        assert not any(c.flags.c_contiguous for c in cores[1:-1])
+        tt = TensorTrain(cores)
+        assert all(c.flags.c_contiguous for c in tt.cores)
+        contiguous = [np.ascontiguousarray(c) for c in cores]
+        for bits in all_bits(d):
+            want = self.matmul_chain(contiguous, bits).hex()
+            assert tt.eval(bits).hex() == want
+            for dtype in (np.int64, np.uint8, bool):
+                assert tt.eval(np.array(bits, dtype=dtype)).hex() == want
+            assert tt.eval(tuple(bool(b) for b in bits)).hex() == want
+
+    def test_eval_rejects_entries_other_than_0_and_1(self):
+        tt = self.random_tt(np.random.default_rng(62), d=2, r=2)
+        for bits in [(-1, 1), (0.5, 0), (2, 0), (0, -1), (1, 1.5), ("1", 0),
+                     (None, 0), ([1], 0), np.array([0, 2]), np.array([0.5, 1.0])]:
+            with pytest.raises(ValueError):
+                tt.eval(bits)
+        for bits in [(0,), (0, 1, 0), ()]:
+            with pytest.raises(ValueError):
+                tt.eval(bits)
+
+    def test_cores_are_read_only_copies(self):
+        rng = np.random.default_rng(64)
+        cores = [rng.uniform(0.1, 1.0, size=s) for s in [(1, 2, 3), (3, 2, 3), (3, 2, 1)]]
+        tt = TensorTrain(cores)
+        before = [tt.eval(bits).hex() for bits in all_bits(3)]
+        for c in cores:
+            c *= 2.0
+        assert [tt.eval(bits).hex() for bits in all_bits(3)] == before
+        assert isinstance(tt.cores, tuple)
+        for mine, theirs in zip(tt.cores, cores):
+            assert not np.shares_memory(mine, theirs)
+            assert not mine.flags.writeable
+            with pytest.raises(ValueError):
+                mine[0, 0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tt.cores = tuple(cores)
+        # a read-only input is copied too
+        frozen = tt.cores
+        assert not any(np.shares_memory(a, b) for a, b in zip(TensorTrain(frozen).cores, frozen))
 
     def test_ranks(self):
         rng = np.random.default_rng(61)
@@ -956,6 +1015,15 @@ class TestTensorTrain:
         with pytest.raises(ValueError):
             load_tt_cores(path)
         path.write_text("1\n1 2 1\n0.5\n")
+        with pytest.raises(ValueError):
+            load_tt_cores(path)
+        path.write_text("1\n1 2 1\n0.5 0.5 0.5\n")
+        with pytest.raises(ValueError, match="trailing"):
+            load_tt_cores(path)
+        path.write_text("0\n")
+        with pytest.raises(ValueError, match="dimension"):
+            load_tt_cores(path)
+        path.write_text("1\n1 2 1\n0.5 abc\n")
         with pytest.raises(ValueError):
             load_tt_cores(path)
 
